@@ -235,12 +235,6 @@ void SimEngine::save(serve::Snapshot& snap) const {
     w.f64(store_.speed[i]);
     w.f64(store_.length[i]);
     w.f64(store_.desired_speed_factor[i]);
-    const IdmParams& p = store_.driver[i];
-    w.f64(p.max_accel);
-    w.f64(p.comfort_decel);
-    w.f64(p.headway);
-    w.f64(p.min_gap);
-    w.f64(p.exponent);
     serve::write_edge(w, store_.edge[i]);
     w.i32(store_.lane[i]);
     w.i32(store_.lane_change_cooldown[i]);
@@ -312,12 +306,6 @@ void SimEngine::restore(const serve::Snapshot& snap) {
     store_.speed[i] = r.f64();
     store_.length[i] = r.f64();
     store_.desired_speed_factor[i] = r.f64();
-    IdmParams& p = store_.driver[i];
-    p.max_accel = r.f64();
-    p.comfort_decel = r.f64();
-    p.headway = r.f64();
-    p.min_gap = r.f64();
-    p.exponent = r.f64();
     store_.edge[i] = serve::read_edge(r);
     store_.lane[i] = r.i32();
     store_.lane_change_cooldown[i] = r.i32();

@@ -136,7 +136,8 @@ class Snapshot {
   static constexpr std::uint32_t kMagic = 0x53435649;    // "IVCS", little-endian
   static constexpr std::uint32_t kEndianMark = 0x01020304;
   // Bump on ANY section-layout change; from_bytes rejects mismatches.
-  static constexpr std::uint32_t kVersion = 1;
+  // v2: the engine section no longer stores per-vehicle IDM parameters.
+  static constexpr std::uint32_t kVersion = 2;
 
   // Creates (or resets) the named section and returns its payload buffer.
   std::vector<std::uint8_t>& add_section(std::string_view name);

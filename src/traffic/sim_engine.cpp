@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
+#include "traffic/idm.hpp"
 #include "util/assert.hpp"
 
 namespace ivc::traffic {
@@ -319,6 +321,10 @@ void SimEngine::run_sharded(util::PerfPhase phase,
                             const std::function<void(ShardContext&)>& body) {
   const std::size_t active = shard_ranges_.size();
   const bool timed = perf_ != nullptr;
+  // The thread-CPU probe is a syscall per worker: read it only on the
+  // calls the phase's own PerfTimer samples; the collector extrapolates
+  // the parked workers' CPU over the rest. The steady clock stays per call.
+  const bool sample_cpu = timed && perf_->should_sample_cpu(phase);
   pool_->run([&](std::size_t worker) {
     if (worker >= active) return;
     ShardContext& ctx = shards_[worker];
@@ -333,11 +339,12 @@ void SimEngine::run_sharded(util::PerfPhase phase,
     } guard;
     tls_shard_ = &ctx;
     if (timed) {
-      const util::ThreadCpuProbe cpu_probe;
+      std::optional<util::ThreadCpuProbe> cpu_probe;
+      if (sample_cpu) cpu_probe.emplace();
       const std::uint64_t start = util::steady_now_nanos();
       body(ctx);
       ctx.busy_nanos = util::steady_now_nanos() - start;
-      ctx.busy_cpu_nanos = cpu_probe.elapsed_nanos();
+      if (cpu_probe) ctx.busy_cpu_nanos = cpu_probe->elapsed_nanos();
     } else {
       body(ctx);
     }
@@ -351,7 +358,7 @@ void SimEngine::run_sharded(util::PerfPhase phase,
     // counts every nanosecond exactly once.
     for (std::size_t s = 0; s < active; ++s) busy += shards_[s].busy_nanos;
     for (std::size_t s = 1; s < active; ++s) busy_cpu += shards_[s].busy_cpu_nanos;
-    perf_->add_parallel(phase, busy, busy_cpu);
+    perf_->add_parallel(phase, busy, busy_cpu, sample_cpu);
   }
 }
 
@@ -405,7 +412,6 @@ void SimEngine::lane_change_pass(std::uint32_t index) {
   const double* const pos = store_.position.data();
   const double* const spd = store_.speed.data();
   const double* const len = store_.length.data();
-  const IdmParams* const drv = store_.driver.data();
   // Apply with re-validation, front-most first, so a move doesn't
   // invalidate the decision of the vehicle behind it.
   for (std::size_t i = lane_list.size(); i-- > 0;) {
@@ -423,7 +429,7 @@ void SimEngine::lane_change_pass(std::uint32_t index) {
     }
     const double desired = seg.speed_limit * store_.desired_speed_factor[slot];
     const bool wants_out =
-        lead_gap < spd[slot] * drv[slot].headway * 1.5 && lead_speed < 0.85 * desired;
+        lead_gap < spd[slot] * kEngineIdm.headway * 1.5 && lead_speed < 0.85 * desired;
     if (!wants_out) continue;
 
     int best_lane = -1;
@@ -447,8 +453,8 @@ void SimEngine::lane_change_pass(std::uint32_t index) {
         tgt_follow_gap = pos[slot] - len[slot] - pos[tf];
         follower_speed = spd[tf];
       }
-      const bool safe = tgt_lead_gap > drv[slot].min_gap + 1.0 &&
-                        tgt_follow_gap > drv[slot].min_gap + 0.5 * follower_speed;
+      const bool safe = tgt_lead_gap > kEngineIdm.min_gap + 1.0 &&
+                        tgt_follow_gap > kEngineIdm.min_gap + 0.5 * follower_speed;
       if (safe && tgt_lead_gap > best_gain * 1.2) {
         best_gain = tgt_lead_gap;
         best_lane = target;
@@ -546,7 +552,6 @@ void SimEngine::dynamics_pass(std::uint32_t index) {
   double* const spd = store_.speed.data();
   const double* const len = store_.length.data();
   const double* const dsf = store_.desired_speed_factor.data();
-  const IdmParams* const drv = store_.driver.data();
   // Front-to-back so each follower clamps against its leader's *new*
   // position (sequential update; collision-free by construction).
   for (std::size_t i = lane_list.size(); i-- > 0;) {
@@ -580,7 +585,7 @@ void SimEngine::dynamics_pass(std::uint32_t index) {
     }
     const double desired = seg.speed_limit * dsf[slot];
     const double accel =
-        idm_acceleration(spd[slot], desired, gap, spd[slot] - lead_speed, drv[slot]);
+        idm_acceleration(spd[slot], desired, gap, spd[slot] - lead_speed, kEngineIdm);
     double v = std::clamp(spd[slot] + accel * dt, 0.0, desired);
     double p = pos[slot] + v * dt;
     // Overlap clamp against the (already updated) leader.

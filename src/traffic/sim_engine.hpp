@@ -42,8 +42,8 @@
 // bit-identical to the scan they replaced.
 //
 // Storage: vehicle state is struct-of-arrays (VehicleStore) — one
-// contiguous array per hot field (position, speed, length, IDM params,
-// edge/lane), indexed by the generational id's slot, with route/attrs/RNG
+// contiguous array per hot field (position, speed, length, edge/lane),
+// indexed by the generational id's slot, with route/attrs/RNG
 // bookkeeping in a cold per-slot record. The per-lane sweeps touch only
 // the hot arrays, so a step streams the bytes it integrates instead of
 // striding through fat AoS records; the arithmetic is unchanged, so the
@@ -334,9 +334,10 @@ class SimEngine {
     // Lanes whose front vehicle crossed the segment end (transit scan).
     std::vector<std::uint32_t> transit_hits;
     // Busy wall / thread-CPU nanoseconds of this shard's task (perf runs
-    // only). Wall time sums over ALL shards (cumulative worker busy time);
-    // CPU time is summed over parked workers only — the caller thread is
-    // worker 0 and its CPU is already inside the phase-level PerfTimer.
+    // only; CPU only on the collector's sampling stride). Wall time sums
+    // over ALL shards (cumulative worker busy time); CPU time is summed
+    // over parked workers only — the caller thread is worker 0 and its CPU
+    // is already inside the phase-level PerfTimer.
     std::uint64_t busy_nanos = 0;
     std::uint64_t busy_cpu_nanos = 0;
 

@@ -11,7 +11,9 @@
 // sweep streams exactly the bytes it computes with; everything the sweeps
 // never read per vehicle stays in the parallel VehicleCold record
 // (vehicle.hpp), touched only on slow paths (spawn, admission, despawn,
-// protocol queries).
+// protocol queries). The IDM parameters are not a column: every vehicle
+// drives with the engine-wide constants (kEngineIdm, idm.hpp, δ = 4), so
+// a sweep streams only the kinematics it integrates.
 //
 // Invariants:
 //  * every array has exactly one row per slot (rows_consistent());
@@ -33,7 +35,6 @@
 
 #include "roadnet/types.hpp"
 #include "traffic/attributes.hpp"
-#include "traffic/idm.hpp"
 #include "traffic/vehicle.hpp"
 #include "util/assert.hpp"
 
@@ -47,7 +48,6 @@ class VehicleStore {
   std::vector<double> speed;               // m/s
   std::vector<double> length;              // m, from body type
   std::vector<double> desired_speed_factor;  // multiplies the edge speed limit
-  std::vector<IdmParams> driver;           // per-driver IDM envelope
   std::vector<roadnet::EdgeId> edge;       // current segment
   std::vector<std::int32_t> lane;          // lane on that segment
   // Steps since the last lane change (hysteresis against ping-ponging).
@@ -69,7 +69,6 @@ class VehicleStore {
     speed.push_back(0.0);
     length.push_back(0.0);
     desired_speed_factor.push_back(1.0);
-    driver.emplace_back();
     edge.emplace_back();
     lane.push_back(0);
     lane_change_cooldown.push_back(0);
@@ -89,7 +88,6 @@ class VehicleStore {
     speed[slot] = 0.0;
     length[slot] = 0.0;
     desired_speed_factor[slot] = 1.0;
-    driver[slot] = IdmParams{};
     edge[slot] = roadnet::EdgeId::invalid();
     lane[slot] = 0;
     lane_change_cooldown[slot] = 0;
@@ -106,7 +104,7 @@ class VehicleStore {
   [[nodiscard]] bool rows_consistent() const {
     const std::size_t n = cold.size();
     return position.size() == n && prev_position.size() == n && speed.size() == n &&
-           length.size() == n && desired_speed_factor.size() == n && driver.size() == n &&
+           length.size() == n && desired_speed_factor.size() == n &&
            edge.size() == n && lane.size() == n && lane_change_cooldown.size() == n &&
            is_patrol.size() == n;
   }
@@ -133,7 +131,6 @@ class VehicleRef {
   [[nodiscard]] double desired_speed_factor() const {
     return store_->desired_speed_factor[slot_];
   }
-  [[nodiscard]] const IdmParams& driver() const { return store_->driver[slot_]; }
   [[nodiscard]] const Route& route() const { return store_->cold[slot_].route; }
   [[nodiscard]] std::uint64_t entry_seq() const { return store_->cold[slot_].entry_seq; }
   [[nodiscard]] int lane_change_cooldown() const {

@@ -55,24 +55,34 @@ struct PerfPhaseStats {
   std::uint64_t parallel_nanos = 0;
   // Thread-CPU time of the PARKED workers' shard tasks (worker 0 is the
   // calling thread, so its CPU is already in cpu_nanos — summing it here
-  // too would double count).
+  // too would double count). Like the caller's, it is read only on the
+  // sampling stride: `parallel_calls` counts sharded executions and
+  // `parallel_cpu_sample_calls` the ones whose CPU was measured.
   std::uint64_t parallel_cpu_nanos = 0;
+  std::uint64_t parallel_calls = 0;
+  std::uint64_t parallel_cpu_sample_calls = 0;
 
   [[nodiscard]] double seconds() const { return static_cast<double>(nanos) * 1e-9; }
   // Total CPU cost of the phase across every thread that worked on it.
-  // The caller-side term extrapolates from the sampled calls (exact when
-  // every call was sampled, e.g. a single measurement); the parked-worker
-  // term is always measured in full.
+  // The caller-side and parked-worker terms each extrapolate from their
+  // sampled calls (exact when every call was sampled, e.g. a single
+  // measurement).
   [[nodiscard]] double cpu_seconds() const {
-    double caller = 0.0;
-    if (cpu_sample_calls > 0) {
-      caller = static_cast<double>(cpu_nanos) * static_cast<double>(calls) /
-               static_cast<double>(cpu_sample_calls);
-    }
-    return (caller + static_cast<double>(parallel_cpu_nanos)) * 1e-9;
+    return (extrapolate(cpu_nanos, calls, cpu_sample_calls) +
+            extrapolate(parallel_cpu_nanos, parallel_calls, parallel_cpu_sample_calls)) *
+           1e-9;
   }
   [[nodiscard]] double parallel_seconds() const {
     return static_cast<double>(parallel_nanos) * 1e-9;
+  }
+
+ private:
+  // Scales the sampled total to all calls; no samples -> unknown, 0.
+  [[nodiscard]] static double extrapolate(std::uint64_t sampled_nanos, std::uint64_t all_calls,
+                                          std::uint64_t sampled_calls) {
+    if (sampled_calls == 0) return 0.0;
+    return static_cast<double>(sampled_nanos) * static_cast<double>(all_calls) /
+           static_cast<double>(sampled_calls);
   }
 };
 
@@ -110,10 +120,16 @@ class PerfCollector {
   // only (the caller runs as worker 0 and its CPU lands in `add`). The
   // engine sums its shards' durations after the join and reports them in a
   // single call, so the collector itself stays single-threaded.
-  void add_parallel(PerfPhase phase, std::uint64_t nanos, std::uint64_t cpu_nanos) {
+  // `cpu_sampled` has add()'s meaning: false = the CPU was not read.
+  void add_parallel(PerfPhase phase, std::uint64_t nanos, std::uint64_t cpu_nanos,
+                    bool cpu_sampled = true) {
     PerfPhaseStats& stats = phases_[static_cast<std::size_t>(phase)];
     stats.parallel_nanos += nanos;
-    stats.parallel_cpu_nanos += cpu_nanos;
+    ++stats.parallel_calls;
+    if (cpu_sampled) {
+      stats.parallel_cpu_nanos += cpu_nanos;
+      ++stats.parallel_cpu_sample_calls;
+    }
   }
 
   [[nodiscard]] const PerfPhaseStats& phase(PerfPhase phase) const {

@@ -3,8 +3,15 @@
 // convergence.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <type_traits>
 
 #include "counting/oracle.hpp"
 #include "counting/protocol.hpp"
@@ -90,5 +97,22 @@ class World {
   std::unique_ptr<counting::Oracle> oracle_;
   std::size_t placed_ = 0;
 };
+
+// gtest prints a parameter struct as a raw byte dump, and CTest's test
+// names carry that dump. A `const char* name` member would put a load
+// address into the names, which ASLR changes on every run. Call this from
+// the case struct's PrintTo: it dumps the bytes as gtest does, with the name
+// pointer reduced to its offset within the page, which the loader does not
+// randomise. The struct must have no padding, or the dump shows stack bytes.
+template <typename Case>
+void print_case_bytes(const Case& param, std::ostream* os) {
+  static_assert(std::is_trivially_copyable_v<Case>);
+  static_assert(offsetof(Case, name) == 0);
+  unsigned char bytes[sizeof(Case)];
+  std::memcpy(bytes, &param, sizeof(Case));
+  const std::uintptr_t page_offset = reinterpret_cast<std::uintptr_t>(param.name) & 0xFFFu;
+  std::memcpy(bytes, &page_offset, sizeof(page_offset));
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof(Case), os);
+}
 
 }  // namespace ivc::testing

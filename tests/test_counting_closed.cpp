@@ -15,13 +15,17 @@ using roadnet::NodeId;
 
 struct LosslessCase {
   const char* name;
-  int topology;  // 0 = triangle, 1 = ring, 2 = one-way ring, 3 = grid
+  std::int64_t topology;  // 0 = triangle, 1 = ring, 2 = one-way ring, 3 = grid
   std::size_t vehicles;
   std::size_t seeds;
   std::uint64_t rng;
 };
 
-roadnet::RoadNetwork make_topology(int topology) {
+void PrintTo(const LosslessCase& param, std::ostream* os) {
+  ivc::testing::print_case_bytes(param, os);
+}
+
+roadnet::RoadNetwork make_topology(std::int64_t topology) {
   switch (topology) {
     case 0: return roadnet::make_triangle();
     case 1: return roadnet::make_ring(8, 180.0);
@@ -90,6 +94,10 @@ struct LossyCase {
   std::size_t seeds;
   std::uint64_t rng;
 };
+
+void PrintTo(const LossyCase& param, std::ostream* os) {
+  ivc::testing::print_case_bytes(param, os);
+}
 
 class LossyClosedTest : public ::testing::TestWithParam<LossyCase> {};
 

@@ -27,6 +27,10 @@ struct OpenCase {
   std::uint64_t rng;
 };
 
+void PrintTo(const OpenCase& param, std::ostream* os) {
+  ivc::testing::print_case_bytes(param, os);
+}
+
 class OpenSystemTest : public ::testing::TestWithParam<OpenCase> {};
 
 TEST_P(OpenSystemTest, CompleteStatusTracksLivePopulation) {

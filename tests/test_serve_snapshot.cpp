@@ -153,6 +153,28 @@ TEST(SnapshotContainer, RejectsVersionSkewLoudly) {
   }
 }
 
+// Format v2 dropped the per-vehicle IDM parameters from the engine
+// section, so a real v1 world snapshot must be refused by version, with
+// both versions named, rather than misread field by field.
+TEST(SnapshotContainer, RejectsVersionOneWorldSnapshot) {
+  static_assert(Snapshot::kVersion == 2);
+  SimWorld world(tiny_config());
+  world.step();
+  Snapshot snap;
+  world.save(snap);
+  std::vector<std::uint8_t> bytes = snap.to_bytes();
+  ASSERT_NO_THROW((void)Snapshot::from_bytes(bytes));
+  bytes[4] = 1;  // the little-endian version word follows the magic
+  try {
+    (void)Snapshot::from_bytes(bytes);
+    FAIL() << "version 1 snapshot accepted";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1 "), std::string::npos) << what;
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+  }
+}
+
 TEST(SnapshotContainer, RejectsTruncatedSectionTable) {
   Snapshot snap;
   ByteWriter w(snap.add_section("alpha"));

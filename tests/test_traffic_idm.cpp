@@ -1,8 +1,13 @@
 // IDM car-following model properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <vector>
 
 #include "traffic/idm.hpp"
 
@@ -41,10 +46,39 @@ TEST(Idm, EquilibriumGapHoldsSpeed) {
   // At equilibrium, s* = gap; solve s* for dv=0 and confirm ~zero accel
   // modulo the free-road term at v < v0.
   const double v0 = 8.2;  // just above, so free term is small
-  const double gap = (p.min_gap + v * p.headway) /
-                     std::sqrt(1.0 - std::pow(v / v0, p.exponent));
+  const double r = v / v0;
+  const double gap = (p.min_gap + v * p.headway) / std::sqrt(1.0 - r * r * r * r);
   const double a = idm_acceleration(v, v0, gap, 0.0, p);
   EXPECT_NEAR(a, 0.0, 0.05);
+}
+
+// The engine computes (v/v0)^4 as r²·r² instead of std::pow(r, 4.0). The
+// two can differ in the last bits; this bounds the difference at 4 ulp
+// over every speed ratio the kernel sees (r in [0, 2]).
+TEST(Idm, Pow4MatchesStdPowWithinFourUlp) {
+  constexpr int kPoints = 1 << 20;
+  std::int64_t worst = 0;
+  for (int i = 0; i <= kPoints; ++i) {
+    const double r = 2.0 * static_cast<double>(i) / kPoints;
+    const double fast = idm_speed_ratio_pow4(r, 1.0);
+    const double ref = std::pow(r, 4.0);
+    ASSERT_TRUE(std::isfinite(fast)) << "r=" << r;
+    // Both are non-negative, so their bit patterns order like the values
+    // and the pattern difference is the distance in ulps.
+    const auto bits = [](double x) { return std::bit_cast<std::int64_t>(x); };
+    const std::int64_t ulps = std::abs(bits(fast) - bits(ref));
+    ASSERT_LE(ulps, 4) << "r=" << r << " fast=" << fast << " pow=" << ref;
+    worst = std::max(worst, ulps);
+  }
+  // The grid must actually exercise rounding, or the bound proves nothing.
+  EXPECT_GT(worst, 0);
+}
+
+TEST(Idm, FreeTermUsesClampedSpeedRatio) {
+  // Negative speeds clamp to 0 and tiny desired speeds to 0.1 m/s.
+  EXPECT_EQ(idm_speed_ratio_pow4(-3.0, 10.0), 0.0);
+  EXPECT_DOUBLE_EQ(idm_speed_ratio_pow4(0.2, 0.0), 16.0);
+  EXPECT_DOUBLE_EQ(idm_speed_ratio_pow4(5.0, 10.0), 0.0625);
 }
 
 TEST(Idm, MonotoneInGap) {

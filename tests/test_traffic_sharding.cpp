@@ -282,6 +282,35 @@ TEST(ShardSoA, HotArraysBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// A traced sharded step reads the workers' thread-CPU clock only on the
+// collector's sampling stride, not on every fork-join, while the wall
+// busy time still covers every sharded call.
+TEST(ShardPerf, WorkerCpuIsSampledOnTheCollectorStride) {
+  const SaturatedRing ring(32, 2);
+  SimConfig config;
+  config.threads = 2;
+  SimEngine engine(ring.net, config);
+  ExteriorAttributes attrs;
+  for (std::uint32_t s = 0; s < ring.edges.size(); ++s) {
+    for (int lane = 0; lane < 2; ++lane) {
+      for (const double pos : {30.0, 90.0}) {
+        ASSERT_TRUE(engine.spawn_at(ring.edges[s], lane, pos, attrs, ring.loop_from(s)).valid());
+      }
+    }
+  }
+  util::PerfCollector perf;
+  engine.set_perf(&perf);
+  constexpr std::uint64_t kSteps = 4 * util::PerfCollector::kCpuSampleStride;
+  for (std::uint64_t i = 0; i < kSteps; ++i) engine.step();
+  // 128 vehicles keep the worklist above the sharding grain, so dynamics
+  // is sharded on every step and exactly the strided calls are sampled.
+  const util::PerfPhaseStats& dynamics = perf.phase(util::PerfPhase::Dynamics);
+  EXPECT_EQ(dynamics.calls, kSteps);
+  EXPECT_EQ(dynamics.parallel_calls, kSteps);
+  EXPECT_EQ(dynamics.parallel_cpu_sample_calls, 4u);
+  EXPECT_GT(dynamics.parallel_nanos, 0u);
+}
+
 // ---- shard ownership assertions ---------------------------------------------
 //
 // Two nets catch a serial-only call escaping into a sharded phase:

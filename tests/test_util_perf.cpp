@@ -82,6 +82,33 @@ TEST(Perf, CpuSecondsExtrapolatesFromSampledCalls) {
   EXPECT_DOUBLE_EQ(collector.phase(PerfPhase::Demand).cpu_seconds(), 0.0);
 }
 
+// Sharded phases read the parked workers' CPU only on the sampling
+// stride; cpu_seconds() scales the sampled total to every sharded call.
+TEST(Perf, ParallelCpuExtrapolationIsExactWhenEveryCallIsSampled) {
+  PerfCollector every;
+  PerfCollector strided;
+  std::uint64_t parked_cpu = 0;
+  for (std::uint64_t i = 0; i < 4 * PerfCollector::kCpuSampleStride; ++i) {
+    const std::uint64_t cpu = 700;  // same per-call cost, so the estimate is exact
+    parked_cpu += cpu;
+    every.add_parallel(PerfPhase::Dynamics, 1000, cpu, /*cpu_sampled=*/true);
+    const bool sample = strided.should_sample_cpu(PerfPhase::Dynamics);
+    strided.add(PerfPhase::Dynamics, 1000, 0, sample);  // caller: no CPU of its own
+    strided.add_parallel(PerfPhase::Dynamics, 1000, sample ? cpu : 0, sample);
+  }
+  const PerfPhaseStats& all = every.phase(PerfPhase::Dynamics);
+  EXPECT_EQ(all.parallel_calls, 4 * PerfCollector::kCpuSampleStride);
+  EXPECT_EQ(all.parallel_cpu_sample_calls, all.parallel_calls);
+  EXPECT_EQ(all.parallel_cpu_nanos, parked_cpu);
+  EXPECT_DOUBLE_EQ(all.cpu_seconds(), static_cast<double>(parked_cpu) * 1e-9);
+
+  const PerfPhaseStats& sampled = strided.phase(PerfPhase::Dynamics);
+  EXPECT_EQ(sampled.parallel_calls, 4 * PerfCollector::kCpuSampleStride);
+  EXPECT_EQ(sampled.parallel_cpu_sample_calls, 4u);
+  EXPECT_EQ(sampled.parallel_nanos, all.parallel_nanos);  // wall is read every call
+  EXPECT_DOUBLE_EQ(sampled.cpu_seconds(), all.cpu_seconds());
+}
+
 TEST(Perf, FirstCallOfAPhaseIsAlwaysSampled) {
   PerfCollector collector;
   EXPECT_TRUE(collector.should_sample_cpu(PerfPhase::Dynamics));
