@@ -5,6 +5,25 @@
 
 namespace ivc::counting {
 
+Oracle::Oracle(const traffic::SimEngine& engine, surveillance::Recognizer recognizer)
+    : engine_(engine), recognizer_(recognizer) {
+  using traffic::BodyType;
+  using traffic::Brand;
+  using traffic::Color;
+  for (std::uint8_t c = 0; c < static_cast<std::uint8_t>(Color::kCount); ++c) {
+    for (std::uint8_t t = 0; t < static_cast<std::uint8_t>(BodyType::kCount); ++t) {
+      for (std::uint8_t b = 0; b < static_cast<std::uint8_t>(Brand::kCount); ++b) {
+        const traffic::ExteriorAttributes attrs{static_cast<Color>(c), static_cast<BodyType>(t),
+                                                static_cast<Brand>(b)};
+        if (recognizer_.matches(attrs)) {
+          matching_classes_.push_back(
+              static_cast<std::uint16_t>(traffic::SimEngine::attr_class(attrs)));
+        }
+      }
+    }
+  }
+}
+
 void Oracle::on_counted(traffic::VehicleId veh, roadnet::NodeId /*node*/,
                         util::SimTime /*t*/) {
   ++counted_times_[veh.value()];
@@ -20,14 +39,9 @@ void Oracle::on_interaction_exit(traffic::VehicleId /*veh*/, roadnet::NodeId /*n
 }
 
 std::int64_t Oracle::true_population() const {
+  const std::vector<std::uint32_t>& cells = engine_.class_population();
   std::int64_t n = 0;
-  for (const traffic::VehicleId id : engine_.alive_vehicles()) {
-    const traffic::VehicleRef veh = engine_.vehicle(id);
-    if (veh.is_patrol()) continue;
-    if (!recognizer_.matches(veh.attrs())) continue;
-    if (engine_.network().segment(veh.edge()).is_gateway()) continue;
-    ++n;
-  }
+  for (const std::uint16_t cls : matching_classes_) n += cells[cls];
   return n;
 }
 

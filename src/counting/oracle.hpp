@@ -12,12 +12,19 @@
 //  * Corollaries 1/2 (open system): after the complete status, the summed
 //    local views track the live countable population.
 //
+// Ground truth costs O(1) in the vehicle count: the engine keeps the
+// interior population as a histogram over exterior classes, and the oracle
+// sums the cells its recognizer matches (listed once, at construction).
+// No per-vehicle scan runs on the truth path; the linear recount lives in
+// testing::reference_true_population as the machine-checked reference.
+//
 // The oracle is a test/benchmark aid; the protocol never reads from it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "roadnet/types.hpp"
 #include "surveillance/recognizer.hpp"
@@ -37,8 +44,7 @@ struct Verdict {
 
 class Oracle {
  public:
-  Oracle(const traffic::SimEngine& engine, surveillance::Recognizer recognizer)
-      : engine_(engine), recognizer_(recognizer) {}
+  Oracle(const traffic::SimEngine& engine, surveillance::Recognizer recognizer);
 
   // ---- hooks invoked by the protocol -----------------------------------------
   void on_counted(traffic::VehicleId veh, roadnet::NodeId node, util::SimTime t);
@@ -47,7 +53,8 @@ class Oracle {
 
   // ---- ground truth -----------------------------------------------------------
   // Countable vehicles currently inside the region (alive, matching,
-  // non-patrol, on an interior edge).
+  // non-patrol, on an interior edge): a sum over the engine's class
+  // histogram, exact at any point between mutations.
   [[nodiscard]] std::int64_t true_population() const;
 
   // ---- checks -----------------------------------------------------------------
@@ -69,6 +76,8 @@ class Oracle {
 
   const traffic::SimEngine& engine_;
   surveillance::Recognizer recognizer_;
+  // SimEngine::attr_class indices of the exterior classes recognizer_ matches.
+  std::vector<std::uint16_t> matching_classes_;
   // Keyed by the packed (slot, generation) id value: vehicle slots are
   // recycled, so a dense slot-indexed array would conflate successive
   // occupants. Per-vehicle-EVER history is inherent to the double-count

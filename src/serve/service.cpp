@@ -2,6 +2,20 @@
 
 namespace ivc::serve {
 
+namespace {
+// Writer-side store that skips an unchanged value. Only the writer stores,
+// so a relaxed load returns what it stored last; skipping the equal store
+// leaves the cell's cache line clean in every reader's cache. A reader in
+// the publish window sees the same value either way, so the seqlock
+// protocol is unaffected.
+template <typename T>
+void store_if_changed(std::atomic<T>& cell, T value) {
+  if (cell.load(std::memory_order_relaxed) != value) {
+    cell.store(value, std::memory_order_relaxed);
+  }
+}
+}  // namespace
+
 void PublishedCounts::init(std::size_t checkpoint_count) {
   cells_ = std::make_unique<Cell[]>(checkpoint_count);
   cell_count_ = checkpoint_count;
@@ -22,9 +36,10 @@ void PublishedCounts::publish(const ServiceView& view) {
   const std::size_t n = view.checkpoints.size() < cell_count_ ? view.checkpoints.size()
                                                               : cell_count_;
   for (std::size_t i = 0; i < n; ++i) {
-    cells_[i].local_total.store(view.checkpoints[i].local_total, std::memory_order_relaxed);
-    cells_[i].active.store(view.checkpoints[i].active ? 1 : 0, std::memory_order_relaxed);
-    cells_[i].stable.store(view.checkpoints[i].stable ? 1 : 0, std::memory_order_relaxed);
+    const CheckpointCounts& cp = view.checkpoints[i];
+    store_if_changed(cells_[i].local_total, cp.local_total);
+    store_if_changed<std::uint8_t>(cells_[i].active, cp.active ? 1 : 0);
+    store_if_changed<std::uint8_t>(cells_[i].stable, cp.stable ? 1 : 0);
   }
 
   seq_.store(s + 2, std::memory_order_release);

@@ -3,7 +3,11 @@
 //
 // The published-counts table is a seqlock: the stepping thread bumps a
 // sequence number to odd, stores the new table with relaxed atomic writes,
-// then bumps it to the next even value with release ordering. Readers are
+// then bumps it to the next even value with release ordering. A checkpoint
+// cell is stored only when its value changed since the last publish, so a
+// step dirties just the cache lines of the checkpoints it moved. Building
+// and publishing a view is O(checkpoints) with no per-vehicle work (the
+// oracle's truth is a sum over the engine's class histogram). Readers are
 // lock-free and never block the writer — they snapshot the table between
 // two equal even sequence reads and retry on a torn window. Every cell is
 // a std::atomic, so even a torn read (discarded by the retry loop) is not

@@ -344,6 +344,28 @@ void SimEngine::restore(const serve::Snapshot& snap) {
     alive_pos_[alive_[i].slot()] = static_cast<std::uint32_t>(i);
   }
 
+  // The class histogram is derived state: rebuild it from the restored
+  // vehicles and hold it against the serialized counter, so a snapshot
+  // whose population_inside disagrees with its vehicles is refused rather
+  // than restored into a world whose two truths differ.
+  class_population_.assign(kAttrClasses, 0);
+  std::size_t inside = 0;
+  for (const VehicleId id : alive_) {
+    const std::uint32_t slot = id.slot();
+    if (store_.is_patrol[slot] != 0) continue;
+    serve::check(store_.edge[slot].value() < net_.num_segments(),
+                 "alive vehicle on an unknown edge");
+    if (net_.segment(store_.edge[slot]).is_gateway()) continue;
+    const ExteriorAttributes& attrs = store_.cold[slot].attrs;
+    serve::check(attrs.color < Color::kCount && attrs.type < BodyType::kCount &&
+                     attrs.brand < Brand::kCount,
+                 "vehicle exterior attributes out of range");
+    ++class_population_[attr_class(attrs)];
+    ++inside;
+  }
+  serve::check(inside == population_inside_,
+               "population_inside disagrees with the restored vehicles");
+
   watched_.clear();
   const std::size_t watched_count = r.u64();
   watched_.reserve(watched_count);

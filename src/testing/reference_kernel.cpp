@@ -82,6 +82,17 @@ void ReferenceKernel::check_invariants() {
                                   static_cast<unsigned long long>(step_count())));
   }
 
+  // Class histogram vs. per-class linear recount, every cell.
+  const std::vector<std::uint32_t> classes = reference_class_population(*this);
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    if (classes[c] != class_population()[c]) {
+      record_violation(util::format("class_population[%zu]=%u but linear recount=%u at step %llu",
+                                    c, class_population()[c], classes[c],
+                                    static_cast<unsigned long long>(step_count())));
+      break;
+    }
+  }
+
   // Worklist + per-edge occupancy counters vs. the lane table.
   if (!debug_occupancy_consistent()) {
     record_violation(util::format(
@@ -133,6 +144,30 @@ std::size_t reference_population_inside(const traffic::SimEngine& engine) {
   for (const traffic::VehicleId id : engine.alive_vehicles()) {
     const traffic::VehicleRef veh = engine.vehicle(id);
     if (!veh.is_patrol() && !engine.network().segment(veh.edge()).is_gateway()) ++n;
+  }
+  return n;
+}
+
+std::vector<std::uint32_t> reference_class_population(const traffic::SimEngine& engine) {
+  std::vector<std::uint32_t> cells(traffic::SimEngine::kAttrClasses, 0);
+  for (const traffic::VehicleId id : engine.alive_vehicles()) {
+    const traffic::VehicleRef veh = engine.vehicle(id);
+    if (!veh.is_patrol() && !engine.network().segment(veh.edge()).is_gateway()) {
+      ++cells[traffic::SimEngine::attr_class(veh.attrs())];
+    }
+  }
+  return cells;
+}
+
+std::int64_t reference_true_population(const traffic::SimEngine& engine,
+                                       const surveillance::Recognizer& recognizer) {
+  std::int64_t n = 0;
+  for (const traffic::VehicleId id : engine.alive_vehicles()) {
+    const traffic::VehicleRef veh = engine.vehicle(id);
+    if (veh.is_patrol()) continue;
+    if (!recognizer.matches(veh.attrs())) continue;
+    if (engine.network().segment(veh.edge()).is_gateway()) continue;
+    ++n;
   }
   return n;
 }

@@ -13,11 +13,12 @@
 // modelling difference.
 //
 // The kernel additionally re-derives, by linear scan each step, the
-// quantities the fast engine maintains incrementally (population_inside,
-// occupied-lane worklist, per-edge counters, lane ordering) and records a
-// violation when a counter and its recount disagree. Violations are
-// collected rather than asserted so a fuzz campaign can shrink and report
-// the failing case instead of aborting.
+// quantities the fast engine maintains incrementally (population_inside
+// and its per-exterior-class histogram, occupied-lane worklist, per-edge
+// counters, lane ordering) and records a violation when a counter and its
+// recount disagree. Violations are collected rather than asserted so a
+// fuzz campaign can shrink and report the failing case instead of
+// aborting.
 //
 // Cost: O(total lanes + total nodes) per step regardless of traffic — the
 // cost model the worklist was built to avoid. Tests only; never benchmark
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "roadnet/road_network.hpp"
+#include "surveillance/recognizer.hpp"
 #include "traffic/sim_engine.hpp"
 
 namespace ivc::testing {
@@ -67,6 +69,14 @@ class ReferenceKernel final : public traffic::SimEngine {
 // Countable interior population by linear scan over every alive vehicle —
 // the reference for the engine's O(1) population_inside() counter.
 [[nodiscard]] std::size_t reference_population_inside(const traffic::SimEngine& engine);
+// The same scan split by SimEngine::attr_class — the reference for the
+// engine's class_population() histogram, cell for cell.
+[[nodiscard]] std::vector<std::uint32_t> reference_class_population(
+    const traffic::SimEngine& engine);
+// Countable interior population under `recognizer` by linear scan — the
+// reference for counting::Oracle::true_population().
+[[nodiscard]] std::int64_t reference_true_population(const traffic::SimEngine& engine,
+                                                     const surveillance::Recognizer& recognizer);
 
 // Naive heap-less Dijkstra (O(V^2 + E)) over free-flow edge times on the
 // interior graph — the reference lower bound for Router::plan's jittered

@@ -38,6 +38,7 @@ SimEngine::SimEngine(const roadnet::RoadNetwork& net, SimConfig config)
   edge_count_.assign(net_.num_segments(), 0);
   entry_space_.assign(total_lanes, 0.0);
   node_candidates_.resize(net_.num_intersections());
+  class_population_.assign(kAttrClasses, 0);
 
   std::size_t team = config_.threads == 0
                          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
@@ -226,7 +227,10 @@ VehicleId SimEngine::spawn_at(roadnet::EdgeId edge, int lane, double position,
   alive_pos_[slot] = static_cast<std::uint32_t>(alive_.size());
   alive_.push_back(id);
   ++total_spawned_;
-  if (!is_patrol && !seg.is_gateway()) ++population_inside_;
+  if (!is_patrol && !seg.is_gateway()) {
+    ++population_inside_;
+    ++class_population_[attr_class(attrs)];
+  }
 
   insert_into_lane(id, edge, lane, position);
   push_event(SpawnEvent{now_, id, edge});
@@ -781,8 +785,10 @@ void SimEngine::admit_at_node(roadnet::NodeId node_id) {
     if (store_.is_patrol[slot] == 0 && was_inside != now_inside) {
       if (now_inside) {
         ++population_inside_;
+        ++class_population_[attr_class(cold.attrs)];
       } else {
         --population_inside_;
+        --class_population_[attr_class(cold.attrs)];
       }
     }
 
@@ -802,6 +808,7 @@ void SimEngine::despawn(std::uint32_t slot, roadnet::EdgeId edge) {
   cold.alive = false;
   if (store_.is_patrol[slot] == 0 && !net_.segment(store_.edge[slot]).is_gateway()) {
     --population_inside_;
+    --class_population_[attr_class(cold.attrs)];
   }
   // Swap-remove from the dense alive index.
   const std::uint32_t pos = alive_pos_[slot];

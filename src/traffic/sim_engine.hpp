@@ -195,9 +195,25 @@ class SimEngine {
   [[nodiscard]] std::size_t alive_count() const { return alive_.size(); }
   [[nodiscard]] std::uint64_t total_spawned() const { return total_spawned_; }
   // Non-patrol vehicles currently on interior edges — the open-system
-  // ground-truth population (oracle). O(1): maintained on
-  // spawn/transit/despawn rather than scanned per call.
+  // ground-truth population. O(1): maintained on spawn/transit/despawn
+  // rather than scanned per call. class_population() breaks the same set
+  // down by exterior class (cell attr_class(attrs)), so the oracle reads a
+  // recognizer's truth as a sum over its matching cells. Both are exact
+  // after every mutation, before the step's event flush included; the
+  // engine itself never reads the histogram.
   [[nodiscard]] std::size_t population_inside() const { return population_inside_; }
+  static constexpr std::size_t kAttrClasses = static_cast<std::size_t>(Color::kCount) *
+                                              static_cast<std::size_t>(BodyType::kCount) *
+                                              static_cast<std::size_t>(Brand::kCount);
+  [[nodiscard]] static std::size_t attr_class(const ExteriorAttributes& attrs) {
+    return (static_cast<std::size_t>(attrs.color) * static_cast<std::size_t>(BodyType::kCount) +
+            static_cast<std::size_t>(attrs.type)) *
+               static_cast<std::size_t>(Brand::kCount) +
+           static_cast<std::size_t>(attrs.brand);
+  }
+  [[nodiscard]] const std::vector<std::uint32_t>& class_population() const {
+    return class_population_;
+  }
   // Total events appended to the per-step buffer over the run.
   [[nodiscard]] std::uint64_t events_emitted() const { return events_emitted_; }
   [[nodiscard]] const std::vector<VehicleId>& lane_vehicles(roadnet::EdgeId edge,
@@ -449,6 +465,11 @@ class SimEngine {
   };
   std::vector<std::vector<Candidate>> node_candidates_;  // per intersection
   std::vector<roadnet::EdgeId> used_approaches_;         // per-node admission scratch
+
+  // population_inside_ by exterior class (kAttrClasses cells). Touched
+  // only at interior/gateway boundary crossings, so it lives on the heap
+  // at the end of the class, away from the members the step reads.
+  std::vector<std::uint32_t> class_population_;
 };
 
 }  // namespace ivc::traffic

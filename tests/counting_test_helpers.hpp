@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -16,6 +17,8 @@
 #include "counting/oracle.hpp"
 #include "counting/protocol.hpp"
 #include "roadnet/manhattan.hpp"
+#include "serve/world.hpp"
+#include "testing/reference_kernel.hpp"
 #include "traffic/demand.hpp"
 #include "traffic/router.hpp"
 #include "traffic/sim_engine.hpp"
@@ -97,6 +100,47 @@ class World {
   std::unique_ptr<counting::Oracle> oracle_;
   std::size_t placed_ = 0;
 };
+
+struct TruthTrace {
+  std::uint64_t checks = 0;
+  std::int64_t min_truth = 0;
+  std::int64_t max_truth = 0;
+};
+
+// Runs `config` to the end in a SimWorld and expects Oracle::true_population()
+// to equal the linear reference recount before the first step, after every
+// step, and across a save/restore cut at step `cut` (>= 1): the restored
+// world is checked before its first step and after each of its own.
+inline TruthTrace expect_truth_matches_reference(const experiment::ScenarioConfig& config,
+                                                 std::uint64_t cut) {
+  const surveillance::Recognizer recognizer(config.protocol.target);
+  TruthTrace trace;
+  const auto check = [&](const serve::SimWorld& world, const char* when) {
+    const std::int64_t truth = world.oracle().true_population();
+    EXPECT_EQ(truth, reference_true_population(world.engine(), recognizer))
+        << when << ", step " << world.engine().step_count();
+    trace.min_truth = trace.checks == 0 ? truth : std::min(trace.min_truth, truth);
+    trace.max_truth = trace.checks == 0 ? truth : std::max(trace.max_truth, truth);
+    ++trace.checks;
+  };
+
+  serve::SimWorld original(config);
+  check(original, "before the first step");
+  while (!original.done() && original.engine().step_count() < cut) {
+    original.step();
+    check(original, "uninterrupted");
+  }
+  serve::Snapshot snap;
+  original.save(snap);
+  serve::SimWorld resumed(config, serve::SimWorld::Mode::Restore);
+  resumed.restore(serve::Snapshot::from_bytes(snap.to_bytes()));
+  check(resumed, "after restore");
+  while (!resumed.done()) {
+    resumed.step();
+    check(resumed, "resumed");
+  }
+  return trace;
+}
 
 // gtest prints a parameter struct as a raw byte dump, and CTest's test
 // names carry that dump. A `const char* name` member would put a load

@@ -42,6 +42,28 @@ TEST(WhiteVan, CountsOnlyMatchingVehicles) {
   EXPECT_LT(protocol.stats().count_events, world.placed());
 }
 
+// The oracle's O(1) truth (a sum over the engine's class histogram) must
+// equal the linear recount under a constrained spec, with vans entering
+// and leaving through gateways: before the first step, on every step, and
+// across a save/restore cut.
+TEST(WhiteVan, OracleTruthMatchesLinearRecountEveryStep) {
+  experiment::ScenarioConfig config;
+  config.map.streets = 5;
+  config.map.avenues = 4;
+  config.mode = experiment::SystemMode::Open;
+  config.gateway_stride = 2;
+  config.vehicles_at_100pct = 250;
+  config.arrival_rate_at_100pct = 1.0;
+  config.protocol.target = surveillance::TargetSpec::white_van();
+  config.protocol.channel_loss = 0.30;
+  config.time_limit_minutes = 8.0;
+  config.seed = 111;
+  const auto trace = ivc::testing::expect_truth_matches_reference(config, 300);
+  EXPECT_GT(trace.checks, 600u);
+  EXPECT_GT(trace.max_truth, 0) << "fixture must contain white vans";
+  EXPECT_NE(trace.min_truth, trace.max_truth) << "the van population never moved";
+}
+
 TEST(WhiteVan, LabelsRideAnyVehicleEvenNonMatching) {
   // Communication is independent of the counting filter: markers still
   // propagate through sedans and trucks.

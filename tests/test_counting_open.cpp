@@ -76,6 +76,25 @@ INSTANTIATE_TEST_SUITE_P(
                       OpenCase{"dense", 0.30, 350, 2, 5}),
     [](const auto& info) { return info.param.name; });
 
+// The oracle's O(1) truth (a sum over the engine's class histogram) must
+// equal the linear recount while gateway traffic moves the population:
+// before the first step, on every step, and across a save/restore cut.
+TEST(OpenSystem, OracleTruthMatchesLinearRecountEveryStep) {
+  experiment::ScenarioConfig config;
+  config.map.streets = 6;
+  config.map.avenues = 5;
+  config.mode = experiment::SystemMode::Open;
+  config.gateway_stride = 3;
+  config.vehicles_at_100pct = 150;
+  config.arrival_rate_at_100pct = 0.8;
+  config.protocol.channel_loss = 0.30;
+  config.time_limit_minutes = 8.0;
+  config.seed = 112;
+  const auto trace = ivc::testing::expect_truth_matches_reference(config, 450);
+  EXPECT_GT(trace.checks, 600u);
+  EXPECT_NE(trace.min_truth, trace.max_truth) << "gateway traffic never moved the population";
+}
+
 TEST(OpenSystem, CollectionDeliversSnapshotToSeeds) {
   ProtocolConfig pc;
   pc.channel_loss = 0.3;

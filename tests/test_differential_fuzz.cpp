@@ -167,6 +167,35 @@ class SkipNodeEngine final : public traffic::SimEngine {
   }
 };
 
+// Skips one class-histogram update: the first interior exit's decrement
+// is undone, so the oracle's O(1) truth drifts from the vehicles while
+// population_inside stays right — the bug class the per-class recount
+// exists to catch.
+class SkipClassUpdateEngine final : public traffic::SimEngine {
+ public:
+  using SimEngine::SimEngine;
+
+ protected:
+  void process_transits() override {
+    if (skipped_) {
+      SimEngine::process_transits();
+      return;
+    }
+    const std::vector<std::uint32_t> before = class_population_;
+    SimEngine::process_transits();
+    for (std::size_t c = 0; c < before.size(); ++c) {
+      if (class_population_[c] < before[c]) {
+        ++class_population_[c];
+        skipped_ = true;
+        return;
+      }
+    }
+  }
+
+ private:
+  bool skipped_ = false;
+};
+
 template <typename Engine>
 EngineFactory factory_for() {
   return [](const roadnet::RoadNetwork& net, traffic::SimConfig sim) {
@@ -213,6 +242,21 @@ TEST(DifferentialFuzz, InjectedNodeStarvationIsCaught) {
     if (!diff_case(seed, buggy).match) ++caught;
   }
   EXPECT_GT(caught, 0) << "node-starvation bug survived 8 bank cases undetected";
+}
+
+TEST(DifferentialFuzz, InjectedClassHistogramSkipIsCaught) {
+  const EngineFactory buggy = factory_for<SkipClassUpdateEngine>();
+  int caught = 0;
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t seed = bank_seed(kBankCampaignSeed, static_cast<std::uint64_t>(i));
+    const DiffResult diff = diff_case(seed, buggy);
+    if (diff.match) continue;
+    ++caught;
+    // The engine's decisions never read the histogram, so the event stream
+    // and population_inside agree and the first divergence is the truth.
+    EXPECT_EQ(diff.divergence.rfind("truth:", 0), 0u) << diff.divergence;
+  }
+  EXPECT_GT(caught, 0) << "class-histogram skip survived 8 bank cases undetected";
 }
 
 // ---- registry hooks ---------------------------------------------------------

@@ -97,6 +97,45 @@ TEST(PublishedCountsTest, SeqlockReadsAreNeverTornUnderContention) {
   EXPECT_EQ(regressed.load(), 0);
 }
 
+void expect_same_view(const ServiceView& got, const ServiceView& want, const char* label) {
+  EXPECT_EQ(got.step, want.step) << label;
+  EXPECT_EQ(got.now_millis, want.now_millis) << label;
+  EXPECT_EQ(got.live_total, want.live_total) << label;
+  EXPECT_EQ(got.truth, want.truth) << label;
+  EXPECT_EQ(got.all_stable, want.all_stable) << label;
+  EXPECT_EQ(got.quiescent, want.quiescent) << label;
+  EXPECT_EQ(got.finished, want.finished) << label;
+  ASSERT_EQ(got.checkpoints.size(), want.checkpoints.size()) << label;
+  for (std::size_t i = 0; i < want.checkpoints.size(); ++i) {
+    EXPECT_EQ(got.checkpoints[i].local_total, want.checkpoints[i].local_total)
+        << label << " cell " << i;
+    EXPECT_EQ(got.checkpoints[i].active, want.checkpoints[i].active) << label << " cell " << i;
+    EXPECT_EQ(got.checkpoints[i].stable, want.checkpoints[i].stable) << label << " cell " << i;
+  }
+}
+
+// publish() stores only the cells that changed. Publishing A, B, A, then B
+// with one field back at its A value must still read back each view
+// exactly, including cells that return to an earlier value.
+TEST(PublishedCountsTest, ChangedCellsPublishReadsBackEveryView) {
+  constexpr std::size_t kCheckpoints = 6;
+  PublishedCounts counts;
+  counts.init(kCheckpoints);
+  const ServiceView a = entangled_view(3, kCheckpoints);
+  const ServiceView b = entangled_view(4, kCheckpoints);
+  ServiceView b_partial = b;
+  b_partial.checkpoints[2].local_total = a.checkpoints[2].local_total;
+
+  counts.publish(a);
+  expect_same_view(counts.read(), a, "A");
+  counts.publish(b);
+  expect_same_view(counts.read(), b, "B");
+  counts.publish(a);
+  expect_same_view(counts.read(), a, "A again");
+  counts.publish(b_partial);
+  expect_same_view(counts.read(), b_partial, "B with one cell at its A value");
+}
+
 TEST(CountingServiceTest, QueryBeforeStartIsSafeAndEmpty) {
   CountingService service(small_closed_config());
   const ServiceView view = service.query();

@@ -179,9 +179,9 @@ TEST(SnapshotContainer, RejectsTruncatedSectionTable) {
   Snapshot snap;
   ByteWriter w(snap.add_section("alpha"));
   w.u64(42);
-  std::vector<std::uint8_t> bytes = snap.to_bytes();
-  bytes.resize(bytes.size() - 3);
-  EXPECT_THROW((void)Snapshot::from_bytes(bytes), SnapshotError);
+  const std::vector<std::uint8_t> bytes = snap.to_bytes();
+  const std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 3);
+  EXPECT_THROW((void)Snapshot::from_bytes(truncated), SnapshotError);
 }
 
 // ---- world save/restore -----------------------------------------------------
@@ -218,6 +218,46 @@ TEST(SimWorldSnapshot, RestoreRefusesPatrolMismatch) {
   with_patrol.num_patrol = 1;
   SimWorld target(with_patrol, SimWorld::Mode::Restore);
   EXPECT_THROW(target.restore(snap), SnapshotError);
+}
+
+// The class histogram is rebuilt on restore and must agree with the
+// serialized population_inside: a snapshot whose counter was patched is
+// refused instead of restoring a world whose two truths disagree.
+TEST(SimWorldSnapshot, RestoreRefusesPatchedPopulationInside) {
+  SimWorld source(tiny_config());
+  source.step();
+  Snapshot snap;
+  source.save(snap);
+  {
+    SimWorld control(tiny_config(), SimWorld::Mode::Restore);
+    ASSERT_NO_THROW(control.restore(snap));
+  }
+
+  // Engine section layout: seed, dt, two flags, lookahead, three counts
+  // and the stream seed (58 bytes); then now, step, transits, spawned,
+  // entry_seq and events (48 bytes); then population_inside as a u64.
+  constexpr std::size_t kPopulationOffset = 58 + 48;
+  std::vector<std::uint8_t> engine = snap.section("engine");
+  std::uint64_t stored = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    stored |= std::uint64_t{engine[kPopulationOffset + i]} << (8 * i);
+  }
+  ASSERT_EQ(stored, source.engine().population_inside());
+  ASSERT_GT(stored, 0u);
+  const std::uint64_t patched = stored + 1;
+  for (std::size_t i = 0; i < 8; ++i) {
+    engine[kPopulationOffset + i] = static_cast<std::uint8_t>(patched >> (8 * i));
+  }
+  snap.add_section("engine") = engine;
+  const Snapshot parsed = Snapshot::from_bytes(snap.to_bytes());
+
+  SimWorld target(tiny_config(), SimWorld::Mode::Restore);
+  try {
+    target.restore(parsed);
+    FAIL() << "snapshot with a patched population_inside restored";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("population_inside"), std::string::npos) << e.what();
+  }
 }
 
 TEST(SimWorldSnapshot, RoundtripReproducesUninterruptedRunBitExact) {

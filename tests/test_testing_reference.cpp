@@ -144,6 +144,7 @@ TEST(ReferenceKernel, PopulationScanMatchesCounter) {
     kernel.step();
   }
   EXPECT_EQ(reference_population_inside(kernel), kernel.population_inside());
+  EXPECT_EQ(reference_class_population(kernel), kernel.class_population());
   EXPECT_EQ(kernel.violation_count(), 0u);
 }
 
