@@ -136,6 +136,38 @@ bool SimEngine::debug_occupancy_consistent() const {
   return true;
 }
 
+std::size_t SimEngine::debug_shared_hot_lines() const {
+  const std::size_t nshards = shard_count(occupied_lanes_.size());
+  if (nshards <= 1) return 0;
+  std::vector<ShardRange> ranges;
+  shard_lanes(occupied_lanes_, nshards, &ranges);
+  const auto line_of = [this](std::uint32_t slot) {
+    constexpr std::uintptr_t kCacheLine = 64;
+    return reinterpret_cast<std::uintptr_t>(&store_.position[slot]) / kCacheLine;
+  };
+  const std::uintptr_t first_line = line_of(0);
+  // Per line of the column: the first shard seen on it, kShared once another follows.
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint32_t kShared = kNone - 1;
+  std::vector<std::uint32_t> line_shard(
+      line_of(static_cast<std::uint32_t>(store_.slot_count() - 1)) - first_line + 1, kNone);
+  std::size_t shared = 0;
+  for (std::uint32_t s = 0; s < ranges.size(); ++s) {
+    for (std::size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
+      for (const VehicleId id : lanes_[occupied_lanes_[i]]) {
+        std::uint32_t& seen = line_shard[line_of(id.slot()) - first_line];
+        if (seen == kNone) {
+          seen = s;
+        } else if (seen != s && seen != kShared) {
+          seen = kShared;
+          ++shared;
+        }
+      }
+    }
+  }
+  return shared;
+}
+
 void SimEngine::remove_from_lane(VehicleId id) {
   const std::uint32_t slot = id.slot();
   const std::size_t index = lane_index(store_.edge[slot], store_.lane[slot]);
@@ -321,6 +353,13 @@ std::size_t SimEngine::shard_count(std::size_t items) const {
   return std::min(by_grain, pool_->size());
 }
 
+void SimEngine::shard_lanes(const std::vector<std::uint32_t>& lanes, std::size_t shards,
+                            std::vector<ShardRange>* out) const {
+  shard_worklist(
+      lanes, shards, [this](std::uint32_t lane) { return lane_refs_[lane].edge.value(); },
+      out);
+}
+
 void SimEngine::run_sharded(util::PerfPhase phase,
                             const std::function<void(ShardContext&)>& body) {
   const std::size_t active = shard_ranges_.size();
@@ -383,10 +422,7 @@ void SimEngine::apply_lane_changes() {
   // worklist — is not read by this phase (it walks the snapshot), so its
   // transitions are logged per shard and applied below in shard order,
   // which is exactly the order the serial walk would have applied them.
-  shard_worklist(
-      scratch_lanes_, nshards,
-      [this](std::uint32_t lane) { return lane_refs_[lane].edge.value(); },
-      &shard_ranges_);
+  shard_lanes(scratch_lanes_, nshards, &shard_ranges_);
   run_sharded(util::PerfPhase::LaneChange, [this](ShardContext& ctx) {
     for (std::size_t i = ctx.range.begin; i < ctx.range.end; ++i) {
       lane_change_pass(scratch_lanes_[i]);
@@ -518,10 +554,7 @@ void SimEngine::update_dynamics() {
     // goes through the entry-space snapshot, so shards share no mutable
     // state whatever the boundaries; the aligned partitioner is reused for
     // a single code path.
-    shard_worklist(
-        occupied_lanes_, nshards,
-        [this](std::uint32_t lane) { return lane_refs_[lane].edge.value(); },
-        &shard_ranges_);
+    shard_lanes(occupied_lanes_, nshards, &shard_ranges_);
     run_sharded(util::PerfPhase::Dynamics, [this](ShardContext& ctx) {
       for (std::size_t i = ctx.range.begin; i < ctx.range.end; ++i) {
         dynamics_pass(occupied_lanes_[i]);
@@ -675,31 +708,9 @@ void SimEngine::process_transits() {
   // Ascending lane-index order keeps despawn events in the segment-major
   // order the full scan emitted.
   scratch_lanes_.assign(occupied_lanes_.begin(), occupied_lanes_.end());
-  const std::size_t nshards = shard_count(scratch_lanes_.size());
-  if (nshards <= 1) {
-    for (const std::uint32_t index : scratch_lanes_) collect_transit_candidates(index);
-  } else {
-    // The O(occupied lanes) part of the phase is the front-past-the-end
-    // scan; shard that read-only filter, then replay only the hits through
-    // the ordinary serial body — despawn events and candidate registration
-    // land in shard (== lane) order, exactly as the serial scan emits
-    // them. A despawn removes only its own lane's front vehicle, so a hit
-    // identified by the scan is still a hit when replayed.
-    shard_worklist(
-        scratch_lanes_, nshards,
-        [this](std::uint32_t lane) { return lane_refs_[lane].edge.value(); },
-        &shard_ranges_);
-    run_sharded(util::PerfPhase::Transits, [this](ShardContext& ctx) {
-      for (std::size_t i = ctx.range.begin; i < ctx.range.end; ++i) {
-        transit_scan_pass(scratch_lanes_[i], ctx);
-      }
-    });
-    for (std::size_t s = 0; s < shard_ranges_.size(); ++s) {
-      for (const std::uint32_t index : shards_[s].transit_hits) {
-        collect_transit_candidates(index);
-      }
-    }
-  }
+  // Serial by design: the scan is one position load per lane, cheaper than
+  // a fork-join, and despawn events must follow lane order anyway.
+  for (const std::uint32_t index : scratch_lanes_) collect_transit_candidates(index);
 
   // Only intersections that actually received a candidate, in node-id
   // order (matching the old every-intersection sweep, minus the no-ops).
@@ -708,15 +719,6 @@ void SimEngine::process_transits() {
   std::sort(active_nodes_.begin(), active_nodes_.end());
   for (const roadnet::NodeId node_id : active_nodes_) admit_at_node(node_id);
   active_nodes_.clear();
-}
-
-void SimEngine::transit_scan_pass(std::uint32_t index, ShardContext& ctx) {
-  const auto& lane_list = lanes_[index];
-  if (lane_list.empty()) return;
-  if (store_.position[lane_list.back().slot()] >=
-      net_.segment(lane_refs_[index].edge).length) {
-    ctx.transit_hits.push_back(index);
-  }
 }
 
 void SimEngine::collect_transit_candidates(std::uint32_t index) {

@@ -28,9 +28,10 @@
 // detection shards the sorted watched list, each shard writing its own
 // EventBuffer; buffers merge into the step buffer in shard order — which
 // IS serial order, because shards are contiguous ranges of a sorted list.
-// Transit candidate collection shards a read-only scan; despawns,
-// candidate registration and admission stay serial (they are O(transits)
-// and O(active nodes), not O(occupied lanes)).
+// Transits run serially: the candidate scan is one position load per
+// occupied lane, cheaper than a fork-join, and despawns, candidate
+// registration and admission mutate global structures in lane and node
+// order.
 //
 // Cost model: every per-step phase is O(occupied lanes + vehicles), not
 // O(total lanes). The engine maintains a sorted worklist of non-empty
@@ -234,6 +235,12 @@ class SimEngine {
   // duplicate-free and exactly matches the set of non-empty lanes. O(total
   // lanes) — tests and assertions only, never on the step path.
   [[nodiscard]] bool debug_occupancy_consistent() const;
+  // Debug stat for false sharing between dynamics shards: the number of
+  // 64-byte cache lines of the `position` column that hold vehicles of more
+  // than one shard, under the shard partition the dynamics phase would use
+  // right now (0 when it would run serially). O(slots) — tests and
+  // measurement only, never on the step path.
+  [[nodiscard]] std::size_t debug_shared_hot_lines() const;
 
   [[nodiscard]] util::Rng& rng() { return rng_; }
 
@@ -253,8 +260,6 @@ class SimEngine {
     roadnet::EdgeId edge;
     int lane;
   };
-  struct ShardContext;  // defined below; shard-pass bodies take it by ref
-
   [[nodiscard]] std::size_t lane_index(roadnet::EdgeId edge, int lane) const;
 
   // Step phases. Virtual so the differential-testing reference kernel
@@ -285,8 +290,7 @@ class SimEngine {
   // Appends the lane's front vehicle to its node's candidate list (or
   // despawns it on an outbound gateway); registers the node in
   // active_nodes_ on first candidate. Serial-only: despawns and candidate
-  // registration mutate global structures; the sharded transit path runs
-  // only the read-only transit_scan_pass and replays the hits here.
+  // registration mutate global structures.
   IVC_SERIAL_ONLY void collect_transit_candidates(std::uint32_t lane_idx);
   // Admits this step's candidates at `node` (ordering, admission budget,
   // events) and clears the node's candidate list.
@@ -294,10 +298,6 @@ class SimEngine {
   // Order-flip scan for one watched vehicle (the per-item body of
   // detect_overtakes).
   IVC_SHARD_PASS void overtake_scan(VehicleId wid);
-  // Read-only front-past-the-end filter for one lane: records a transit
-  // hit in the shard context; the hits are replayed serially through
-  // collect_transit_candidates in shard (== lane) order.
-  IVC_SHARD_PASS void transit_scan_pass(std::uint32_t lane_idx, ShardContext& ctx);
 
   // Snapshot of per-lane entry room (rearmost position − length) for every
   // occupied lane, taken at the top of the dynamics phase. dynamics_pass
@@ -347,8 +347,6 @@ class SimEngine {
     // Occupancy-worklist transitions (lane index, became-occupied) logged
     // during sharded lane changes, applied serially in shard order.
     std::vector<std::pair<std::uint32_t, bool>> occupancy_log;
-    // Lanes whose front vehicle crossed the segment end (transit scan).
-    std::vector<std::uint32_t> transit_hits;
     // Busy wall / thread-CPU nanoseconds of this shard's task (perf runs
     // only; CPU only on the collector's sampling stride). Wall time sums
     // over ALL shards (cumulative worker busy time); CPU time is summed
@@ -364,7 +362,6 @@ class SimEngine {
       events.clear();
       events_emitted = 0;
       occupancy_log.clear();
-      transit_hits.clear();
       busy_nanos = 0;
       busy_cpu_nanos = 0;
     }
@@ -372,6 +369,9 @@ class SimEngine {
 
   // Shard count for a worklist of `items` (1 = run the phase serially).
   [[nodiscard]] std::size_t shard_count(std::size_t items) const;
+  // shard_worklist over a sorted lane worklist, aligned to segments.
+  void shard_lanes(const std::vector<std::uint32_t>& lanes, std::size_t shards,
+                   std::vector<ShardRange>* out) const;
   // Runs `body(shard)` for every shard of shards_ on the fork-join team,
   // with the calling worker's ShardContext installed in tls_shard_ for the
   // duration; accumulates busy time per shard when perf is attached, and

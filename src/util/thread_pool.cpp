@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/assert.hpp"
+#include "util/perf.hpp"
 
 namespace ivc::util {
 
@@ -104,10 +105,48 @@ void ThreadPool::worker_loop() {
 // ---- ForkJoinPool -----------------------------------------------------------
 
 namespace {
-// Spin budget before parking on the atomic. Short on purpose: on an
-// oversubscribed machine (or a 1-core container) spinning steals cycles
-// from the very workers being waited on.
-constexpr int kSpinIterations = 256;
+// How long a waiter spins before parking on the atomic. The engine issues
+// two or three fork-joins per step, separated by serial work: transits,
+// bookkeeping and the event flush take about 40-60 us of a grid-rush
+// step. A shorter spin parks the workers inside that gap, and every phase
+// then pays a futex wake-up. 100 us outlasts the gap, so a stepping team
+// stays hot for the whole step, while an idle team still parks and costs
+// nothing.
+constexpr std::uint64_t kSpinBudgetNanos = 100'000;
+// Spins between clock reads. Each clock read also yields the core: with
+// more runnable threads than cores (parallel ctest runs several threaded
+// tests at once) a pure spin would steal the timeslice of the very thread
+// it waits on.
+constexpr unsigned kSpinsPerYield = 64;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+// Waits while `keep_waiting(word)`: spins with a relax hint, yielding and
+// reading the clock every kSpinsPerYield spins, and parks on the atomic
+// once the spin budget is spent. Returns the value that ended the wait.
+template <typename T, typename KeepWaiting>
+T spin_then_park(const std::atomic<T>& word, KeepWaiting keep_waiting) {
+  std::uint64_t deadline = 0;
+  for (unsigned spins = 1;; ++spins) {
+    const T value = word.load(std::memory_order_acquire);
+    if (!keep_waiting(value)) return value;
+    if (spins % kSpinsPerYield != 0) {
+      cpu_relax();
+      continue;
+    }
+    std::this_thread::yield();
+    const std::uint64_t now = steady_now_nanos();
+    if (deadline == 0) {
+      deadline = now + kSpinBudgetNanos;
+    } else if (now >= deadline) {
+      word.wait(value, std::memory_order_acquire);
+    }
+  }
+}
 }  // namespace
 
 ForkJoinPool::ForkJoinPool(std::size_t num_threads) {
@@ -148,15 +187,8 @@ void ForkJoinPool::run(const std::function<void(std::size_t)>& task) {
   } catch (...) {
     record_exception();
   }
-  // Join: spin briefly (the common case — shards finish together), then
-  // park until the last worker's decrement-and-notify.
-  int spins = 0;
-  for (;;) {
-    const std::size_t left = remaining_.load(std::memory_order_acquire);
-    if (left == 0) break;
-    if (++spins < kSpinIterations) continue;
-    remaining_.wait(left, std::memory_order_acquire);
-  }
+  // Join: the last worker's decrement notifies, in case we parked.
+  spin_then_park(remaining_, [](std::size_t left) { return left != 0; });
   task_ = nullptr;
   if (first_exception_) {
     std::exception_ptr e = std::exchange(first_exception_, nullptr);
@@ -167,13 +199,7 @@ void ForkJoinPool::run(const std::function<void(std::size_t)>& task) {
 void ForkJoinPool::worker_loop(std::size_t worker_index) {
   std::uint64_t seen = 0;
   for (;;) {
-    int spins = 0;
-    std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
-    while (epoch == seen) {
-      if (++spins >= kSpinIterations) epoch_.wait(seen, std::memory_order_acquire);
-      epoch = epoch_.load(std::memory_order_acquire);
-    }
-    seen = epoch;
+    seen = spin_then_park(epoch_, [seen](std::uint64_t epoch) { return epoch == seen; });
     if (stop_.load(std::memory_order_acquire)) return;
     try {
       (*task_)(worker_index);

@@ -10,9 +10,9 @@
 // ThreadPool's mutex + condvar queue costs tens of microseconds per batch —
 // fine for sweep replicas that run for seconds each, fatal for engine step
 // phases that last single-digit microseconds. ForkJoinPool keeps resident
-// workers parked on an epoch counter (brief spin, then C++20 atomic wait)
-// and runs the caller as worker 0, so a fork-join is two atomic bumps plus
-// however long the stragglers take.
+// workers waiting on an epoch counter (a time-budgeted spin, then a C++20
+// atomic wait) and runs the caller as worker 0, so a fork-join is two
+// atomic bumps plus however long the stragglers take.
 #pragma once
 
 #include <atomic>
@@ -65,11 +65,13 @@ class ThreadPool {
 };
 
 // Persistent fork-join team: `size()` logical workers, of which one is the
-// calling thread itself — a team of N parks only N-1 OS threads. Workers
-// spin briefly on the fork epoch, then block on a C++20 atomic wait, so an
-// idle team costs nothing and a hot fork-join (the engine issues several
-// per simulation step) costs a few hundred nanoseconds of wake/join
-// overhead instead of a condvar round trip per task.
+// calling thread itself — a team of N runs only N-1 OS threads. Both
+// waits (workers on the fork epoch, the caller on the join count) spin
+// for about 100 us, yielding every few dozen spins, then park on a C++20
+// atomic wait. The budget outlasts the serial work between the engine's
+// fork-joins within one step, so a stepping team never sleeps mid-step
+// and a fork-join costs no futex wake-up; a team idle for longer parks
+// and costs nothing.
 class ForkJoinPool {
  public:
   // `num_threads` is the total worker count including the caller;

@@ -144,18 +144,18 @@ inline TruthTrace expect_truth_matches_reference(const experiment::ScenarioConfi
 
 // gtest prints a parameter struct as a raw byte dump, and CTest's test
 // names carry that dump. A `const char* name` member would put a load
-// address into the names, which ASLR changes on every run. Call this from
-// the case struct's PrintTo: it dumps the bytes as gtest does, with the name
-// pointer reduced to its offset within the page, which the loader does not
-// randomise. The struct must have no padding, or the dump shows stack bytes.
+// address into the names, which ASLR changes on every run, and even its
+// offset within the page moves whenever a string literal is added to the
+// test binary. Call this from the case struct's PrintTo: it dumps the bytes
+// as gtest does, with the name pointer written as zero. The struct must
+// have no padding, or the dump shows stack bytes.
 template <typename Case>
 void print_case_bytes(const Case& param, std::ostream* os) {
   static_assert(std::is_trivially_copyable_v<Case>);
   static_assert(offsetof(Case, name) == 0);
   unsigned char bytes[sizeof(Case)];
   std::memcpy(bytes, &param, sizeof(Case));
-  const std::uintptr_t page_offset = reinterpret_cast<std::uintptr_t>(param.name) & 0xFFFu;
-  std::memcpy(bytes, &page_offset, sizeof(page_offset));
+  std::memset(bytes, 0, sizeof(param.name));
   ::testing::internal::PrintBytesInObjectTo(bytes, sizeof(Case), os);
 }
 

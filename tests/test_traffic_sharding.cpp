@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -411,6 +413,63 @@ TEST(ShardExceptionSafety, ThrowingPlannerLeavesSerialPathUsable) {
   const std::size_t before = engine.alive_vehicles().size();
   engine.despawn_serially(engine.alive_vehicles().front());
   EXPECT_EQ(engine.alive_vehicles().size(), before - 1);
+}
+
+// ---- false-sharing stat ------------------------------------------------------
+//
+// debug_shared_hot_lines() counts the 64-byte lines of the position column
+// that hold vehicles of more than one dynamics shard. The reference below
+// groups slots by line directly from their addresses.
+
+// 32 single-lane segments at threads = 2: lanes 0-15 form shard 0 and
+// lanes 16-31 shard 1. Spawns one vehicle per segment; `segment_of_slot`
+// says which segment slot i (the i-th spawn) lands on.
+std::size_t shared_lines(int threads, std::uint32_t (*segment_of_slot)(std::uint32_t),
+                         std::size_t* reference) {
+  const SaturatedRing ring(32, 1);
+  SimConfig config;
+  config.threads = threads;
+  SimEngine engine(ring.net, config);
+  ExteriorAttributes attrs;
+  for (std::uint32_t slot = 0; slot < 32; ++slot) {
+    const std::uint32_t segment = segment_of_slot(slot);
+    const VehicleId id =
+        engine.spawn_at(ring.edges[segment], 0, 40.0, attrs, ring.loop_from(segment));
+    EXPECT_EQ(id.slot(), slot);
+  }
+  std::map<std::uintptr_t, std::set<bool>> shards_by_line;
+  for (std::uint32_t slot = 0; slot < 32; ++slot) {
+    const auto line = reinterpret_cast<std::uintptr_t>(&engine.store().position[slot]) / 64;
+    shards_by_line[line].insert(segment_of_slot(slot) >= 16);
+  }
+  *reference = 0;
+  for (const auto& [line, shards] : shards_by_line) *reference += shards.size() > 1 ? 1 : 0;
+  return engine.debug_shared_hot_lines();
+}
+
+// Even slots on shard 0's segments, odd slots on shard 1's.
+std::uint32_t interleaved(std::uint32_t slot) { return slot / 2 + (slot % 2) * 16; }
+
+TEST(ShardFalseSharing, SerialEngineSharesNoLines) {
+  std::size_t reference = 0;
+  EXPECT_EQ(shared_lines(1, interleaved, &reference), 0u);
+}
+
+TEST(ShardFalseSharing, InterleavedSlotsShareEveryLine) {
+  // Every line holding two or more of the 32 slots is shared (4 or 5
+  // lines, by alignment).
+  std::size_t reference = 0;
+  const std::size_t shared = shared_lines(2, interleaved, &reference);
+  EXPECT_EQ(shared, reference);
+  EXPECT_GE(shared, 4u);
+}
+
+TEST(ShardFalseSharing, ContiguousSlotsShareAtMostTheBoundaryLine) {
+  std::size_t reference = 0;
+  const auto contiguous = [](std::uint32_t slot) { return slot; };
+  const std::size_t shared = shared_lines(2, contiguous, &reference);
+  EXPECT_EQ(shared, reference);
+  EXPECT_LE(shared, 1u);
 }
 
 TEST(ShardSoA, SingleSegmentRingDegeneratesToOneShard) {

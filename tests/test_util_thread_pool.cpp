@@ -1,11 +1,16 @@
 // Thread pool behaviour: completion, parallel_for coverage, reuse,
-// exception propagation, and the fork-join team's stress/determinism
-// contract (task-order-independent reductions).
+// exception propagation, the fork-join team's stress/determinism contract
+// (task-order-independent reductions), and both sides of its wait policy:
+// back-to-back fork-joins that stay on the spin path and fork-joins after
+// an idle longer than the spin budget, which park and must be woken.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -169,6 +174,81 @@ TEST(ForkJoinPool, ReusableAcrossManyForkJoins) {
     team.run([&](std::size_t) { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 2000);
+}
+
+// Longer than the fork-join team's ~100 us spin budget, so every worker
+// (and the joining caller, on the next fork-join) has parked on the atomic.
+constexpr auto kPastSpinBudget = std::chrono::milliseconds(5);
+
+TEST(ForkJoinPool, BackToBackForkJoinsRunEveryWorkerOnce) {
+  // No idle time between fork-joins: the workers never leave the spin
+  // path, so a lost or doubled epoch shows up here.
+  ForkJoinPool team(4);
+  std::vector<int> hits(team.size());
+  for (int round = 0; round < 10000; ++round) {
+    team.run([&](std::size_t worker) { ++hits[worker]; });
+    for (std::size_t w = 0; w < hits.size(); ++w) {
+      ASSERT_EQ(hits[w], round + 1) << "worker " << w << " round " << round;
+    }
+  }
+}
+
+TEST(ForkJoinPool, ParkedWorkersWakeForTheNextForkJoin) {
+  ForkJoinPool team(4);
+  std::vector<int> hits(team.size());
+  for (int round = 1; round <= 3; ++round) {
+    team.run([&](std::size_t worker) { ++hits[worker]; });
+    for (const int h : hits) ASSERT_EQ(h, round);
+    std::this_thread::sleep_for(kPastSpinBudget);
+  }
+}
+
+TEST(ForkJoinPool, ExceptionAfterParkedIdleReachesTheCaller) {
+  ForkJoinPool team(3);
+  team.run([](std::size_t) {});
+  std::this_thread::sleep_for(kPastSpinBudget);
+  EXPECT_THROW(team.run([](std::size_t worker) {
+                 if (worker == 2) throw std::runtime_error("shard failure after idle");
+               }),
+               std::runtime_error);
+  std::atomic<int> counter{0};
+  team.run([&](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 3);
+}
+
+TEST(ForkJoinPool, DestroyWhileWorkersSpin) {
+  // Destroyed right after a fork-join: the workers are still inside their
+  // spin budget and must see the stop epoch without being notified.
+  for (int i = 0; i < 50; ++i) {
+    ForkJoinPool team(4);
+    std::atomic<int> counter{0};
+    team.run([&](std::size_t) { counter.fetch_add(1); });
+    EXPECT_EQ(counter.load(), 4);
+  }
+}
+
+TEST(ForkJoinPool, DestroyWhileWorkersParked) {
+  ForkJoinPool team(4);
+  std::atomic<int> counter{0};
+  team.run([&](std::size_t) { counter.fetch_add(1); });
+  std::this_thread::sleep_for(kPastSpinBudget);
+  EXPECT_EQ(counter.load(), 4);
+  // ~ForkJoinPool must wake the parked workers, or this test hangs.
+}
+
+TEST(ForkJoinPool, OversubscribedTeamFinishesWithCorrectResults) {
+  // More threads than cores: spinning waiters must yield to the workers
+  // they wait on, or this crawls.
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  ForkJoinPool team(hw + 1);
+  ASSERT_EQ(team.size(), hw + 1);
+  std::vector<std::uint64_t> partial(team.size());
+  for (std::uint64_t round = 1; round <= 200; ++round) {
+    team.run([&](std::size_t worker) { partial[worker] = round * (worker + 1); });
+    for (std::size_t w = 0; w < partial.size(); ++w) {
+      ASSERT_EQ(partial[w], round * (w + 1)) << "worker " << w << " round " << round;
+    }
+  }
 }
 
 }  // namespace
