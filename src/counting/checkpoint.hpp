@@ -30,6 +30,7 @@ enum class DirectionState : std::uint8_t {
   Counting,  // phase 5: unlabeled matching vehicles are counted
   Stopped,   // phase 4: marker arrived; counting ended
   Excluded,  // predecessor direction: never counted (phase 3 sets s(u))
+  kCount,
 };
 
 // Resolution of the marker issued on one outbound direction.
@@ -38,6 +39,7 @@ enum class LabelOutcome : std::uint8_t {
   Pending,    // marker in flight; no TreeAck yet
   Child,      // far checkpoint was activated by our marker
   NotChild,   // far checkpoint was already active
+  kCount,
 };
 
 struct InboundDirection {

@@ -20,6 +20,7 @@ namespace ivc::experiment {
 enum class ScenarioScale {
   Full,   // evaluation size (minutes per sweep)
   Smoke,  // CI size (seconds per sweep)
+  kCount,
 };
 
 struct NamedScenario {

@@ -3,15 +3,15 @@
 namespace ivc::serve {
 
 namespace {
-// Writer-side store that skips an unchanged value. Only the writer stores,
-// so a relaxed load returns what it stored last; skipping the equal store
-// leaves the cell's cache line clean in every reader's cache. A reader in
-// the publish window sees the same value either way, so the seqlock
-// protocol is unaffected.
+// Writer-side payload store that skips an unchanged value. Only the writer
+// stores, so a relaxed load returns what it stored last; skipping the
+// equal store leaves the cell's cache line clean in every reader's cache.
+// A reader in the publish window sees the same value either way, so the
+// seqlock protocol is unaffected.
 template <typename T>
 void store_if_changed(std::atomic<T>& cell, T value) {
   if (cell.load(std::memory_order_relaxed) != value) {
-    cell.store(value, std::memory_order_relaxed);
+    cell.store(value, std::memory_order_release);
   }
 }
 }  // namespace
@@ -21,18 +21,20 @@ void PublishedCounts::init(std::size_t checkpoint_count) {
   cell_count_ = checkpoint_count;
 }
 
+// Seqlock without fences (TSan does not model them): a reader whose acquire
+// load sees any release-stored value of a publish also sees that publish's
+// odd sequence store, so its final re-read makes it retry.
 void PublishedCounts::publish(const ServiceView& view) {
   const std::uint64_t s = seq_.load(std::memory_order_relaxed);
   seq_.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
 
-  step_.store(view.step, std::memory_order_relaxed);
-  now_millis_.store(view.now_millis, std::memory_order_relaxed);
-  live_total_.store(view.live_total, std::memory_order_relaxed);
-  truth_.store(view.truth, std::memory_order_relaxed);
-  all_stable_.store(view.all_stable ? 1 : 0, std::memory_order_relaxed);
-  quiescent_.store(view.quiescent ? 1 : 0, std::memory_order_relaxed);
-  finished_.store(view.finished ? 1 : 0, std::memory_order_relaxed);
+  step_.store(view.step, std::memory_order_release);
+  now_millis_.store(view.now_millis, std::memory_order_release);
+  live_total_.store(view.live_total, std::memory_order_release);
+  truth_.store(view.truth, std::memory_order_release);
+  all_stable_.store(view.all_stable ? 1 : 0, std::memory_order_release);
+  quiescent_.store(view.quiescent ? 1 : 0, std::memory_order_release);
+  finished_.store(view.finished ? 1 : 0, std::memory_order_release);
   const std::size_t n = view.checkpoints.size() < cell_count_ ? view.checkpoints.size()
                                                               : cell_count_;
   for (std::size_t i = 0; i < n; ++i) {
@@ -52,20 +54,19 @@ ServiceView PublishedCounts::read() const {
     const std::uint64_t s1 = seq_.load(std::memory_order_acquire);
     if (s1 & 1u) continue;  // writer mid-publish; spin
 
-    view.step = step_.load(std::memory_order_relaxed);
-    view.now_millis = now_millis_.load(std::memory_order_relaxed);
-    view.live_total = live_total_.load(std::memory_order_relaxed);
-    view.truth = truth_.load(std::memory_order_relaxed);
-    view.all_stable = all_stable_.load(std::memory_order_relaxed) != 0;
-    view.quiescent = quiescent_.load(std::memory_order_relaxed) != 0;
-    view.finished = finished_.load(std::memory_order_relaxed) != 0;
+    view.step = step_.load(std::memory_order_acquire);
+    view.now_millis = now_millis_.load(std::memory_order_acquire);
+    view.live_total = live_total_.load(std::memory_order_acquire);
+    view.truth = truth_.load(std::memory_order_acquire);
+    view.all_stable = all_stable_.load(std::memory_order_acquire) != 0;
+    view.quiescent = quiescent_.load(std::memory_order_acquire) != 0;
+    view.finished = finished_.load(std::memory_order_acquire) != 0;
     for (std::size_t i = 0; i < cell_count_; ++i) {
-      view.checkpoints[i].local_total = cells_[i].local_total.load(std::memory_order_relaxed);
-      view.checkpoints[i].active = cells_[i].active.load(std::memory_order_relaxed) != 0;
-      view.checkpoints[i].stable = cells_[i].stable.load(std::memory_order_relaxed) != 0;
+      view.checkpoints[i].local_total = cells_[i].local_total.load(std::memory_order_acquire);
+      view.checkpoints[i].active = cells_[i].active.load(std::memory_order_acquire) != 0;
+      view.checkpoints[i].stable = cells_[i].stable.load(std::memory_order_acquire) != 0;
     }
 
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (seq_.load(std::memory_order_relaxed) == s1) return view;
   }
 }

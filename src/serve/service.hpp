@@ -2,7 +2,8 @@
 // many reader threads answer per-checkpoint count/verdict queries.
 //
 // The published-counts table is a seqlock: the stepping thread bumps a
-// sequence number to odd, stores the new table with relaxed atomic writes,
+// sequence number to odd, stores the new table with release atomic writes
+// (readers load it with acquire loads; no fences, which TSan cannot model),
 // then bumps it to the next even value with release ordering. A checkpoint
 // cell is stored only when its value changed since the last publish, so a
 // step dirties just the cache lines of the checkpoints it moved. Building

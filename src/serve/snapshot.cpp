@@ -1,10 +1,14 @@
-// Snapshot container + field-by-field component serializers.
+// Snapshot container + the component field visitors.
 //
-// Everything that writes or reads component internals lives here, next to
-// the one friend type (SnapshotAccess) the components grant access to.
-// Each serializer mirrors its component's data members exactly; a member
-// added to a component without a matching line here will surface as a
-// roundtrip divergence in the 120-seed snapshot bank, not as silent drift.
+// Everything that touches component internals lives here, next to the one
+// friend type (SnapshotAccess) the components grant access to. Each
+// component's serialized members are listed once, in Fields<T>::io, which
+// both saves (ByteWriter) and restores (ByteReader). What only restore
+// does follows the io call as plain code: rebuilding derived state
+// (alive index, class histogram, occupancy, memo caches) and the
+// cross-checks that refuse a snapshot whose parts disagree — a vehicle
+// reference naming no live vehicle, a lane list that does not hold
+// exactly its own vehicles, a broken route, a label off its edge.
 
 #include "serve/snapshot.hpp"
 
@@ -14,14 +18,16 @@
 #include "counting/oracle.hpp"
 #include "counting/patrol.hpp"
 #include "counting/protocol.hpp"
+#include "serve/world.hpp"
 #include "traffic/demand.hpp"
 #include "traffic/sim_engine.hpp"
 #include "util/annotations.hpp"
-#include "util/string_util.hpp"
 
 namespace ivc::serve {
 
 // ---- Snapshot container -----------------------------------------------------
+
+void ByteReader::refuse(const char* what) { throw SnapshotError(what); }
 
 std::vector<std::uint8_t>& Snapshot::add_section(std::string_view name) {
   for (Section& s : sections_) {
@@ -51,627 +57,485 @@ bool Snapshot::has_section(std::string_view name) const {
 std::vector<std::uint8_t> Snapshot::to_bytes() const {
   std::vector<std::uint8_t> out;
   ByteWriter w(out);
-  w.u32(kMagic);
-  w.u32(kVersion);
-  w.u32(kEndianMark);
-  w.u32(static_cast<std::uint32_t>(sections_.size()));
+  file_header(w, kMagic, kVersion, "snapshot");
+  w(static_cast<std::uint32_t>(sections_.size()));
   for (const Section& s : sections_) {
-    w.str(s.name);
-    w.u32(static_cast<std::uint32_t>(s.payload.size()));
-    out.insert(out.end(), s.payload.begin(), s.payload.end());
+    w(s.name);
+    w(s.payload);
   }
   return out;
 }
 
 Snapshot Snapshot::from_bytes(const std::vector<std::uint8_t>& bytes) {
   ByteReader r(bytes);
-  const std::uint32_t magic = r.u32();
-  if (magic != kMagic) throw SnapshotError("not an IVC snapshot (bad magic)");
-  const std::uint32_t version = r.u32();
-  if (version != kVersion) {
-    throw SnapshotError(util::format(
-        "snapshot format version %u is not the supported version %u; "
-        "re-record the snapshot with this build",
-        version, kVersion));
-  }
-  const std::uint32_t endian = r.u32();
-  if (endian != kEndianMark) throw SnapshotError("snapshot endian mark corrupt");
-  const std::uint32_t count = r.u32();
+  file_header(r, kMagic, kVersion, "snapshot");
+  std::uint32_t count = 0;
+  r(count);
   Snapshot snap;
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::string name = r.str();
-    const std::uint32_t len = r.u32();
-    snap.add_section(name) = r.bytes(len);
+    Section s;
+    r(s.name);
+    r(s.payload);
+    snap.add_section(s.name) = std::move(s.payload);
   }
   r.expect_end("snapshot");
   return snap;
 }
 
-// ---- shared field codecs ----------------------------------------------------
+// ---- field visitors -----------------------------------------------------------
 
 namespace {
 
-void write_rng(ByteWriter& w, const util::Rng& rng) {
-  const util::Rng::State st = rng.state();
-  for (const std::uint64_t word : st.s) w.u64(word);
-  w.f64(st.spare_normal);
-  w.boolean(st.has_spare_normal);
-}
-
-void read_rng(ByteReader& r, util::Rng& rng) {
-  util::Rng::State st;
-  for (std::uint64_t& word : st.s) word = r.u64();
-  st.spare_normal = r.f64();
-  st.has_spare_normal = r.boolean();
-  rng.set_state(st);
-}
-
-void write_time(ByteWriter& w, util::SimTime t) { w.i64(t.millis()); }
-util::SimTime read_time(ByteReader& r) { return util::SimTime::from_millis(r.i64()); }
-
-void write_vid(ByteWriter& w, traffic::VehicleId id) { w.u64(id.value()); }
-traffic::VehicleId read_vid(ByteReader& r) {
-  const std::uint64_t v = r.u64();
-  return traffic::VehicleId{static_cast<std::uint32_t>(v & 0xffffffffULL),
-                            static_cast<std::uint32_t>(v >> 32)};
-}
-
-void write_edge(ByteWriter& w, roadnet::EdgeId e) { w.u32(e.value()); }
-roadnet::EdgeId read_edge(ByteReader& r) { return roadnet::EdgeId{r.u32()}; }
-void write_node(ByteWriter& w, roadnet::NodeId n) { w.u32(n.value()); }
-roadnet::NodeId read_node(ByteReader& r) { return roadnet::NodeId{r.u32()}; }
-
-void write_label(ByteWriter& w, const v2x::Label& label) {
-  write_node(w, label.issuer);
-  write_edge(w, label.edge);
-  write_time(w, label.issued_at);
-}
-
-v2x::Label read_label(ByteReader& r) {
-  v2x::Label label;
-  label.issuer = read_node(r);
-  label.edge = read_edge(r);
-  label.issued_at = read_time(r);
-  return label;
-}
-
-void write_message(ByteWriter& w, const v2x::Message& msg) {
-  write_node(w, msg.source);
-  write_node(w, msg.destination);
-  w.u8(static_cast<std::uint8_t>(msg.payload.index()));
-  if (const auto* ack = std::get_if<v2x::TreeAck>(&msg.payload)) {
-    write_node(w, ack->from);
-    w.boolean(ack->is_child);
-  } else {
-    const auto& report = std::get<v2x::CountReport>(msg.payload);
-    write_node(w, report.from);
-    w.i64(report.subtree_total);
-  }
-  write_time(w, msg.created_at);
-  w.i32(msg.hops);
-}
-
-v2x::Message read_message(ByteReader& r) {
-  v2x::Message msg;
-  msg.source = read_node(r);
-  msg.destination = read_node(r);
-  const std::uint8_t kind = r.u8();
-  if (kind == 0) {
-    v2x::TreeAck ack;
-    ack.from = read_node(r);
-    ack.is_child = r.boolean();
-    msg.payload = ack;
-  } else if (kind == 1) {
-    v2x::CountReport report;
-    report.from = read_node(r);
-    report.subtree_total = r.i64();
-    msg.payload = report;
-  } else {
-    throw SnapshotError("unknown message payload kind in snapshot");
-  }
-  msg.created_at = read_time(r);
-  msg.hops = r.i32();
-  return msg;
-}
-
 void check(bool ok, const char* what) {
-  if (!ok) {
-    throw SnapshotError(std::string("snapshot incompatible with this world: ") + what);
-  }
+  if (!ok) throw SnapshotError(std::string("snapshot incompatible with this world: ") + what);
 }
 
 }  // namespace
 
-}  // namespace ivc::serve
-
-// ---- SimEngine --------------------------------------------------------------
-
-namespace ivc::traffic {
-
-using serve::ByteReader;
-using serve::ByteWriter;
-using serve::Snapshot;
-using serve::SnapshotError;
-// Pull in the unnamed-namespace codec helpers (write_time, read_vid, ...):
-// they are injected into ivc::serve but not visible from here by default.
-using namespace serve;  // NOLINT(google-build-using-namespace)
-
-void SimEngine::save(serve::Snapshot& snap) const {
-  if (!events_.empty() || !pending_free_.empty() || !active_nodes_.empty()) {
-    throw SnapshotError("SimEngine::save is only legal between steps");
+template <>
+struct SnapshotAccess::Fields<v2x::Message> {
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& msg) {
+    ar(msg.source);
+    ar(msg.destination);
+    auto kind = static_cast<std::uint8_t>(msg.payload.index());
+    ar(kind);
+    if constexpr (Ar::kLoading) {  // a fresh element already holds a TreeAck (kind 0)
+      if (kind > 1) throw SnapshotError("unknown message payload kind in snapshot");
+      if (kind == 1) msg.payload = v2x::CountReport{};
+    }
+    if (auto* ack = std::get_if<v2x::TreeAck>(&msg.payload)) {
+      ar(ack->from);
+      ar(ack->is_child);
+    } else {
+      auto& report = std::get<v2x::CountReport>(msg.payload);
+      ar(report.from);
+      ar(report.subtree_total);
+    }
+    ar(msg.created_at);
+    ar(msg.hops);
   }
-  ByteWriter w(snap.add_section("engine"));
+};
 
-  // Structural-validation block: restore refuses a world built from
-  // different inputs. Thread count is deliberately absent — it must not
-  // be state.
-  w.u64(config_.seed);
-  w.f64(config_.dt);
-  w.boolean(config_.multi_admission);
-  w.boolean(config_.allow_lane_change);
-  w.f64(config_.intersection_lookahead);
-  w.u64(net_.num_intersections());
-  w.u64(net_.num_segments());
-  w.u64(lanes_.size());
-  w.u64(vehicle_stream_seed_);
+template <>
+struct SnapshotAccess::Fields<v2x::ObuRegistry::Entry> {
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& entry) {
+    ar(entry.generation_tag);
+    auto& obu = entry.state;
+    ar(obu.counted);
+    bool has_label = obu.label.has_value();
+    ar(has_label);
+    if (has_label) {
+      if constexpr (Ar::kLoading) obu.label.emplace();
+      ar(obu.label->issuer);
+      ar(obu.label->edge);
+      ar(obu.label->issued_at);
+    }
+    ar(obu.overtake_delta);
+    ar.seq(obu.cargo, nested);
+    ar(obu.channel_attempts);
+  }
+};
 
-  // Clock and counters.
-  write_time(w, now_);
-  w.u64(step_count_);
-  w.u64(total_transits_);
-  w.u64(total_spawned_);
-  w.u64(entry_seq_counter_);
-  w.u64(events_emitted_);
-  w.u64(population_inside_);
-  w.u64(peak_occupied_lanes_);
-  serve::write_rng(w, rng_);
+template <>
+struct SnapshotAccess::Fields<counting::Checkpoint> {
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& cp) {
+    ar(cp.seed_);
+    ar(cp.active_);
+    ar(cp.activation_time_);
+    ar.maybe_unset(cp.predecessor_edge_);
+    ar.maybe_unset(cp.parent_);
+    // The direction vectors are structure (rebuilt from the network); only
+    // their mutable state is serialized, keyed by a checked edge echo.
+    ar.expect(cp.inbound_.size(), "inbound direction count differs");
+    for (auto& in : cp.inbound_) {
+      ar.expect(in.edge, "inbound direction edge differs");
+      ar(in.state);
+      ar(in.count);
+      ar(in.start_time);
+      ar(in.stop_time);
+    }
+    ar.expect(cp.outbound_.size(), "outbound direction count differs");
+    for (auto& out : cp.outbound_) {
+      ar.expect(out.edge, "outbound direction edge differs");
+      ar(out.needs_label);
+      ar(out.outcome);
+      ar(out.failed_handoffs);
+      ar(out.issue_time);
+    }
+    ar(cp.interaction_in_);
+    ar(cp.interaction_out_);
+    ar(cp.loss_adjust_);
+    ar(cp.overtake_adjust_);
+    std::vector<std::pair<std::uint32_t, std::int64_t>> reports(cp.child_reports_.begin(),
+                                                                cp.child_reports_.end());
+    ar.seq(reports);
+    if constexpr (Ar::kLoading) cp.child_reports_ = {reports.begin(), reports.end()};
+    ar.seq(cp.children_);
+    ar(cp.report_sent_);
+    ar(cp.subtree_total_);
+    ar(cp.report_time_);
+  }
+};
 
-  // Vehicle store, hot row + cold record per slot.
-  const std::size_t slots = store_.slot_count();
-  w.u64(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    w.f64(store_.position[i]);
-    w.f64(store_.prev_position[i]);
-    w.f64(store_.speed[i]);
-    w.f64(store_.length[i]);
-    w.f64(store_.desired_speed_factor[i]);
-    serve::write_edge(w, store_.edge[i]);
-    w.i32(store_.lane[i]);
-    w.i32(store_.lane_change_cooldown[i]);
-    w.u8(store_.is_patrol[i]);
-    const VehicleCold& cold = store_.cold[i];
-    serve::write_vid(w, cold.id);
-    w.u8(static_cast<std::uint8_t>(cold.attrs.color));
-    w.u8(static_cast<std::uint8_t>(cold.attrs.type));
-    w.u8(static_cast<std::uint8_t>(cold.attrs.brand));
-    w.boolean(cold.alive);
-    w.u64(cold.route.edges.size());
-    for (const roadnet::EdgeId e : cold.route.edges) serve::write_edge(w, e);
-    w.u64(cold.route.next);
-    w.boolean(cold.route.cyclic);
-    w.u64(cold.entry_seq);
-    w.u64(cold.rng_key);
-    w.u64(cold.rng_draws);
+template <>
+struct SnapshotAccess::Fields<counting::CountingProtocol> {
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& p) {
+    ar.expect(p.config_.seed, "protocol seed differs");
+    ar.expect(p.config_.channel_loss, "channel loss differs");
+    ar.expect(p.config_.open_system, "open-system flag differs");
+    ar.expect(p.checkpoints_.size(), "checkpoint count differs");
+    ar.expect(p.outbox_.size(), "outbox table size differs");
+    ar.expect(p.marker_on_edge_.size(), "marker table size differs");
+
+    ar(p.started_);
+    ar.seq(p.seeds_);
+    ar(p.rng_);
+
+    ar(p.channel_.anonymous_attempts_);
+    ar(p.channel_.attempts_);
+    ar(p.channel_.failures_);
+
+    auto& stats = p.stats_;
+    ar(stats.count_events);
+    ar(stats.labels_issued);
+    ar(stats.label_handoff_failures);
+    ar(stats.activations_by_label);
+    ar(stats.markers_consumed);
+    ar(stats.messages_sent);
+    ar(stats.messages_delivered);
+    ar(stats.message_pickup_failures);
+    ar(stats.patrol_relays);
+    ar(stats.overtake_events);
+    ar(stats.interaction_entries);
+    ar(stats.interaction_exits);
+
+    ar.seq(p.obus_.entries_, nested);
+    for (auto& box : p.outbox_) {
+      ar.seq(box, [](auto& a, auto& stamped) {
+        SnapshotAccess::io(a, stamped.msg);
+        a(stamped.since);
+      });
+    }
+    for (auto& marker : p.marker_on_edge_) ar(marker);
+    for (auto& cp : p.checkpoints_) SnapshotAccess::io(ar, cp);
+  }
+};
+
+template <>
+struct SnapshotAccess::Fields<traffic::DemandModel> {
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& demand) {
+    ar.expect(demand.config_.seed, "demand seed differs");
+    ar.expect(demand.config_.volume_pct, "demand volume differs");
+    ar(demand.rng_);
+    ar(demand.arrival_budget_);
+    ar(demand.spawned_total_);
+  }
+};
+
+template <>
+struct SnapshotAccess::Fields<counting::Oracle> {
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& oracle) {
+    ar(oracle.count_events_);
+    ar(oracle.adjustment_sum_);
+    ar(oracle.exit_events_);
+    std::vector<std::pair<std::uint64_t, std::uint16_t>> counted;
+    if constexpr (!Ar::kLoading) {
+      counted.reserve(oracle.counted_times_.size());
+      IVC_ORDER_EXEMPT("entries are collected then sorted by key; serialized order is canonical");
+      for (const auto& [id, times] : oracle.counted_times_) counted.emplace_back(id, times);
+      std::sort(counted.begin(), counted.end());
+    }
+    ar.seq(counted);
+    if constexpr (Ar::kLoading) oracle.counted_times_ = {counted.begin(), counted.end()};
+  }
+};
+
+template <>
+struct SnapshotAccess::Fields<counting::PatrolFleet> {
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& fleet) {
+    ar.seq(fleet.vehicles_);
+  }
+};
+
+// One vehicle-store row: the hot columns and the cold record of one slot.
+template <>
+struct SnapshotAccess::Fields<traffic::VehicleStore> {
+  template <class Ar, class Self>
+  static void row(Ar& ar, Self& store, std::size_t i) {
+    ar(store.position[i]);
+    ar(store.prev_position[i]);
+    ar(store.speed[i]);
+    ar(store.length[i]);
+    ar(store.desired_speed_factor[i]);
+    ar.maybe_unset(store.edge[i]);  // a recycled slot is reset to no edge
+    ar(store.lane[i]);
+    ar(store.lane_change_cooldown[i]);
+    ar(store.is_patrol[i]);
+    auto& cold = store.cold[i];
+    ar(cold.id);
+    ar(cold.attrs.color);
+    ar(cold.attrs.type);
+    ar(cold.attrs.brand);
+    ar(cold.alive);
+    ar.seq(cold.route.edges);
+    ar(cold.route.next);
+    ar(cold.route.cyclic);
+    ar(cold.entry_seq);
+    ar(cold.rng_key);
+    ar(cold.rng_draws);
   }
 
-  w.u64(free_slots_.size());
-  for (const std::uint32_t s : free_slots_) w.u32(s);
-  w.u64(alive_.size());
-  for (const VehicleId id : alive_) serve::write_vid(w, id);
-  w.u64(watched_.size());
-  for (const VehicleId id : watched_) serve::write_vid(w, id);
-
-  // Lane membership is serialized explicitly: in-lane order encodes
-  // arrival history (position ties), which positions alone cannot rebuild.
-  w.u64(lanes_.size());
-  for (const std::vector<VehicleId>& lane : lanes_) {
-    w.u64(lane.size());
-    for (const VehicleId id : lane) serve::write_vid(w, id);
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& store) {
+    std::size_t slots = store.slot_count();
+    ar.length(slots, blank_row_bytes());
+    if constexpr (Ar::kLoading) store = traffic::VehicleStore{};
+    for (std::size_t i = 0; i < slots; ++i) {
+      if constexpr (Ar::kLoading) store.push_slot();
+      row(ar, store, i);
+    }
   }
+
+  static std::size_t blank_row_bytes() {
+    traffic::VehicleStore blank;
+    blank.push_slot();
+    std::vector<std::uint8_t> out;
+    ByteWriter w(out);
+    row(w, std::as_const(blank), 0);
+    return out.size();
+  }
+};
+
+template <>
+struct SnapshotAccess::Fields<traffic::SimEngine> {
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& e) {
+    // Structural-validation block: restore refuses a world built from
+    // different inputs. Thread count is deliberately absent — it must not
+    // be state.
+    ar.expect(e.config_.seed, "engine seed differs");
+    ar.expect(e.config_.dt, "dt differs");
+    ar.expect(e.config_.multi_admission, "admission model differs");
+    ar.expect(e.config_.allow_lane_change, "lane-change model differs");
+    ar.expect(e.config_.intersection_lookahead, "intersection lookahead differs");
+    ar.expect(e.net_.num_intersections(), "intersection count differs");
+    ar.expect(e.net_.num_segments(), "segment count differs");
+    ar.expect(e.lanes_.size(), "lane count differs");
+    ar.expect(e.vehicle_stream_seed_, "vehicle stream seed differs");
+
+    ar(e.now_);
+    ar(e.step_count_);
+    ar(e.total_transits_);
+    ar(e.total_spawned_);
+    ar(e.entry_seq_counter_);
+    ar(e.events_emitted_);
+    ar(e.population_inside_);
+    ar(e.peak_occupied_lanes_);
+    ar(e.rng_);
+
+    SnapshotAccess::io(ar, e.store_);
+    ar.seq(e.free_slots_);
+    ar.seq(e.alive_);
+    ar.seq(e.watched_);
+    // Lane membership is serialized explicitly: in-lane order encodes
+    // arrival history (position ties), which positions alone cannot rebuild.
+    ar.expect(e.lanes_.size(), "lane table size differs");
+    for (auto& lane : e.lanes_) ar.seq(lane);
+  }
+};
+
+template <>
+struct SnapshotAccess::Fields<SimWorld> {
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& world) {
+    ar(world.population_);
+    ar(world.saw_all_active_);
+    ar(world.time_all_active_min_);
+    ar(world.converged_);
+  }
+};
+
+// ---- save / restore -----------------------------------------------------------
+
+namespace {
+
+bool is_live(const traffic::VehicleStore& store, traffic::VehicleId id) {
+  return id.slot() < store.slot_count() && store.cold[id.slot()].id == id &&
+         store.cold[id.slot()].alive;
 }
 
-void SimEngine::restore(const serve::Snapshot& snap) {
-  if (!events_.empty() || !pending_free_.empty() || !active_nodes_.empty()) {
-    throw SnapshotError("SimEngine::restore is only legal between steps");
+struct SegmentEnds {
+  roadnet::NodeId from, to;
+};
+
+// A route the engine can drive: `next` within the edge list (before its
+// end for a cycle), and every edge still ahead (all of a cycle, back round
+// to where it starts) leaving the node the one before it reaches — or an
+// inbound gateway, which the engine also accepts. Ids are already
+// range-checked by the reader.
+bool route_drivable(const std::vector<SegmentEnds>& ends, const traffic::Route& route,
+                    roadnet::EdgeId on) {
+  const std::vector<roadnet::EdgeId>& edges = route.edges;
+  const std::size_t n = edges.size();
+  if (route.cyclic ? route.next >= n : route.next > n) return false;
+  roadnet::NodeId at = ends[on.value()].to;
+  const auto leaves_at = [&ends, &at](roadnet::EdgeId e) {
+    const SegmentEnds& seg = ends[e.value()];
+    const bool ok = !at.valid() || seg.from == at || (!seg.from.valid() && seg.to.valid());
+    at = seg.to;
+    return ok;
+  };
+  for (std::size_t i = route.next; i < n; ++i) {
+    if (!leaves_at(edges[i])) return false;
   }
-  ByteReader r(snap.section("engine"));
-
-  serve::check(r.u64() == config_.seed, "engine seed differs");
-  serve::check(r.f64() == config_.dt, "dt differs");
-  serve::check(r.boolean() == config_.multi_admission, "admission model differs");
-  serve::check(r.boolean() == config_.allow_lane_change, "lane-change model differs");
-  serve::check(r.f64() == config_.intersection_lookahead, "intersection lookahead differs");
-  serve::check(r.u64() == net_.num_intersections(), "intersection count differs");
-  serve::check(r.u64() == net_.num_segments(), "segment count differs");
-  serve::check(r.u64() == lanes_.size(), "lane count differs");
-  serve::check(r.u64() == vehicle_stream_seed_, "vehicle stream seed differs");
-
-  now_ = serve::read_time(r);
-  step_count_ = r.u64();
-  total_transits_ = r.u64();
-  total_spawned_ = r.u64();
-  entry_seq_counter_ = r.u64();
-  events_emitted_ = r.u64();
-  population_inside_ = r.u64();
-  peak_occupied_lanes_ = r.u64();
-  serve::read_rng(r, rng_);
-
-  const std::size_t slots = r.u64();
-  store_ = VehicleStore{};
-  for (std::size_t i = 0; i < slots; ++i) {
-    const std::uint32_t slot = store_.push_slot();
-    IVC_ASSERT(slot == i);
-    store_.position[i] = r.f64();
-    store_.prev_position[i] = r.f64();
-    store_.speed[i] = r.f64();
-    store_.length[i] = r.f64();
-    store_.desired_speed_factor[i] = r.f64();
-    store_.edge[i] = serve::read_edge(r);
-    store_.lane[i] = r.i32();
-    store_.lane_change_cooldown[i] = r.i32();
-    store_.is_patrol[i] = r.u8();
-    VehicleCold& cold = store_.cold[i];
-    cold.id = serve::read_vid(r);
-    cold.attrs.color = static_cast<Color>(r.u8());
-    cold.attrs.type = static_cast<BodyType>(r.u8());
-    cold.attrs.brand = static_cast<Brand>(r.u8());
-    cold.alive = r.boolean();
-    const std::size_t route_len = r.u64();
-    cold.route.edges.clear();
-    cold.route.edges.reserve(route_len);
-    for (std::size_t e = 0; e < route_len; ++e) cold.route.edges.push_back(serve::read_edge(r));
-    cold.route.next = r.u64();
-    cold.route.cyclic = r.boolean();
-    cold.entry_seq = r.u64();
-    cold.rng_key = r.u64();
-    cold.rng_draws = r.u64();
+  if (!route.cyclic) return true;
+  for (std::size_t i = 0; i <= route.next; ++i) {  // wrap back round to `next`
+    if (!leaves_at(edges[i])) return false;
   }
-  IVC_ASSERT(store_.rows_consistent());
+  return true;
+}
 
-  free_slots_.clear();
-  const std::size_t free_count = r.u64();
-  free_slots_.reserve(free_count);
-  for (std::size_t i = 0; i < free_count; ++i) free_slots_.push_back(r.u32());
-  pending_free_.clear();
+}  // namespace
 
-  alive_.clear();
-  const std::size_t alive_count = r.u64();
-  alive_.reserve(alive_count);
-  for (std::size_t i = 0; i < alive_count; ++i) alive_.push_back(serve::read_vid(r));
-  alive_pos_.assign(slots, 0);
-  for (std::size_t i = 0; i < alive_.size(); ++i) {
-    IVC_ASSERT(alive_[i].slot() < slots);
-    alive_pos_[alive_[i].slot()] = static_cast<std::uint32_t>(i);
+void SnapshotAccess::save(const SimWorld& world, Snapshot& snap) {
+  const traffic::SimEngine& engine = *world.engine_;
+  if (!engine.events_.empty() || !engine.pending_free_.empty() ||
+      !engine.active_nodes_.empty()) {
+    throw SnapshotError("a snapshot is only legal between steps");
   }
+  const auto write = [&snap](const char* section, const auto& component) {
+    ByteWriter w(snap.add_section(section));
+    io(w, component);
+  };
+  write("engine", engine);
+  write("demand", *world.demand_);
+  write("protocol", *world.protocol_);
+  write("oracle", *world.oracle_);
+  if (world.patrol_) write("patrol", *world.patrol_);
+  write("world", world);
+}
 
-  // The class histogram is derived state: rebuild it from the restored
-  // vehicles and hold it against the serialized counter, so a snapshot
-  // whose population_inside disagrees with its vehicles is refused rather
-  // than restored into a world whose two truths differ.
-  class_population_.assign(kAttrClasses, 0);
+void SnapshotAccess::restore(SimWorld& world, const Snapshot& snap) {
+  traffic::SimEngine& e = *world.engine_;
+  if (!e.events_.empty() || !e.pending_free_.empty() || !e.active_nodes_.empty()) {
+    throw SnapshotError("a restore is only legal between steps");
+  }
+  if (snap.has_section("patrol") != (world.patrol_ != nullptr)) {
+    throw SnapshotError("snapshot and world disagree on having a patrol fleet");
+  }
+  const auto read = [&snap, &e](const char* section, auto& component) {
+    ByteReader r(snap.section(section), &e.net_);
+    io(r, component);
+    r.expect_end(section);
+  };
+
+  // Engine: each alive vehicle once in the alive index and in its own
+  // lane list, with a drivable route. The class histogram and occupancy
+  // are rebuilt; the histogram must match population_inside.
+  read("engine", e);
+  const traffic::VehicleStore& store = e.store_;
+  const std::vector<roadnet::Segment>& segs = e.net_.segments();
+  std::vector<SegmentEnds> ends;
+  ends.reserve(segs.size());
+  for (const roadnet::Segment& seg : segs) ends.push_back({seg.from, seg.to});
+  const std::size_t slots = store.slot_count();
+  enum : std::uint8_t { kUnseen, kAlive, kFree, kInLane };
+  std::vector<std::uint8_t> seen(slots, kUnseen);
+  e.alive_pos_.assign(slots, 0);
+  e.class_population_.assign(traffic::SimEngine::kAttrClasses, 0);
   std::size_t inside = 0;
-  for (const VehicleId id : alive_) {
-    const std::uint32_t slot = id.slot();
-    if (store_.is_patrol[slot] != 0) continue;
-    serve::check(store_.edge[slot].value() < net_.num_segments(),
-                 "alive vehicle on an unknown edge");
-    if (net_.segment(store_.edge[slot]).is_gateway()) continue;
-    const ExteriorAttributes& attrs = store_.cold[slot].attrs;
-    serve::check(attrs.color < Color::kCount && attrs.type < BodyType::kCount &&
-                     attrs.brand < Brand::kCount,
-                 "vehicle exterior attributes out of range");
-    ++class_population_[attr_class(attrs)];
+  for (std::size_t i = 0; i < e.alive_.size(); ++i) {
+    const std::uint32_t slot = e.alive_[i].slot();
+    check(is_live(store, e.alive_[i]) && seen[slot] == kUnseen,
+          "alive index names a vehicle that is not alive");
+    seen[slot] = kAlive;
+    e.alive_pos_[slot] = static_cast<std::uint32_t>(i);
+    const roadnet::EdgeId edge = store.edge[slot];
+    check(edge.valid() && store.lane[slot] >= 0 && store.lane[slot] < segs[edge.value()].lanes,
+          "alive vehicle off the road");
+    check(route_drivable(ends, store.cold[slot].route, edge), "alive vehicle has a broken route");
+    if (store.is_patrol[slot] != 0 || segs[edge.value()].is_gateway()) continue;
+    ++e.class_population_[traffic::SimEngine::attr_class(store.cold[slot].attrs)];
     ++inside;
   }
-  serve::check(inside == population_inside_,
-               "population_inside disagrees with the restored vehicles");
-
-  watched_.clear();
-  const std::size_t watched_count = r.u64();
-  watched_.reserve(watched_count);
-  for (std::size_t i = 0; i < watched_count; ++i) watched_.push_back(serve::read_vid(r));
-
-  const std::size_t lane_count = r.u64();
-  serve::check(lane_count == lanes_.size(), "lane table size differs");
-  edge_count_.assign(edge_count_.size(), 0);
-  occupied_lanes_.clear();
-  for (std::size_t li = 0; li < lane_count; ++li) {
-    std::vector<VehicleId>& lane = lanes_[li];
-    lane.clear();
-    const std::size_t n = r.u64();
-    lane.reserve(n);
-    for (std::size_t v = 0; v < n; ++v) lane.push_back(serve::read_vid(r));
-    if (!lane.empty()) {
-      occupied_lanes_.push_back(static_cast<std::uint32_t>(li));
-      edge_count_[lane_refs_[li].edge.value()] += static_cast<std::uint32_t>(lane.size());
-    }
+  check(inside == e.population_inside_, "population_inside disagrees with the restored vehicles");
+  // Between steps every slot is alive or free (a despawn's slot is
+  // recycled into the free list before the step ends).
+  for (const std::uint32_t slot : e.free_slots_) {
+    check(slot < slots && seen[slot] == kUnseen && !store.cold[slot].alive,
+          "free list names a slot in use");
+    seen[slot] = kFree;
   }
-  peak_occupied_lanes_ = std::max(peak_occupied_lanes_, occupied_lanes_.size());
-  for (auto& candidates : node_candidates_) candidates.clear();
-  active_nodes_.clear();
+  check(e.alive_.size() + e.free_slots_.size() == slots, "a slot is neither alive nor free");
 
-  r.expect_end("engine");
-  IVC_ASSERT(debug_occupancy_consistent());
-}
-
-}  // namespace ivc::traffic
-
-// ---- components (SnapshotAccess) --------------------------------------------
-
-namespace ivc::serve {
-
-void SnapshotAccess::save(const traffic::DemandModel& demand, Snapshot& snap) {
-  ByteWriter w(snap.add_section("demand"));
-  w.u64(demand.config_.seed);
-  w.f64(demand.config_.volume_pct);
-  write_rng(w, demand.rng_);
-  w.f64(demand.arrival_budget_);
-  w.u64(demand.spawned_total_);
-}
-
-void SnapshotAccess::restore(traffic::DemandModel& demand, const Snapshot& snap) {
-  ByteReader r(snap.section("demand"));
-  check(r.u64() == demand.config_.seed, "demand seed differs");
-  check(r.f64() == demand.config_.volume_pct, "demand volume differs");
-  read_rng(r, demand.rng_);
-  demand.arrival_budget_ = r.f64();
-  demand.spawned_total_ = r.u64();
-  r.expect_end("demand");
-}
-
-void SnapshotAccess::save(const counting::CountingProtocol& p, Snapshot& snap) {
-  ByteWriter w(snap.add_section("protocol"));
-
-  w.u64(p.config_.seed);
-  w.f64(p.config_.channel_loss);
-  w.boolean(p.config_.open_system);
-  w.u64(p.checkpoints_.size());
-  w.u64(p.outbox_.size());
-  w.u64(p.marker_on_edge_.size());
-
-  w.boolean(p.started_);
-  w.u64(p.seeds_.size());
-  for (const roadnet::NodeId n : p.seeds_) write_node(w, n);
-  write_rng(w, p.rng_);
-
-  w.u64(p.channel_.anonymous_attempts_);
-  w.u64(p.channel_.attempts_);
-  w.u64(p.channel_.failures_);
-
-  const auto& stats = p.stats_;
-  w.u64(stats.count_events);
-  w.u64(stats.labels_issued);
-  w.u64(stats.label_handoff_failures);
-  w.u64(stats.activations_by_label);
-  w.u64(stats.markers_consumed);
-  w.u64(stats.messages_sent);
-  w.u64(stats.messages_delivered);
-  w.u64(stats.message_pickup_failures);
-  w.u64(stats.patrol_relays);
-  w.u64(stats.overtake_events);
-  w.u64(stats.interaction_entries);
-  w.u64(stats.interaction_exits);
-
-  w.u64(p.obus_.entries_.size());
-  for (const auto& entry : p.obus_.entries_) {
-    w.u64(entry.generation_tag);
-    const v2x::ObuState& obu = entry.state;
-    w.boolean(obu.counted);
-    w.boolean(obu.label.has_value());
-    if (obu.label.has_value()) write_label(w, *obu.label);
-    w.i32(obu.overtake_delta);
-    w.u64(obu.cargo.size());
-    for (const v2x::Message& msg : obu.cargo) write_message(w, msg);
-    w.u64(obu.channel_attempts);
+  std::size_t in_lanes = 0;
+  e.edge_count_.assign(e.edge_count_.size(), 0);
+  e.occupied_lanes_.clear();
+  for (std::size_t li = 0; li < e.lanes_.size(); ++li) {
+    for (const traffic::VehicleId id : e.lanes_[li]) {
+      check(is_live(store, id) && seen[id.slot()] == kAlive &&
+                store.edge[id.slot()] == e.lane_refs_[li].edge &&
+                store.lane[id.slot()] == e.lane_refs_[li].lane,
+            "lane list holds a vehicle that is not its own");
+      seen[id.slot()] = kInLane;
+    }
+    if (e.lanes_[li].empty()) continue;
+    in_lanes += e.lanes_[li].size();
+    e.occupied_lanes_.push_back(static_cast<std::uint32_t>(li));
+    e.edge_count_[e.lane_refs_[li].edge.value()] += static_cast<std::uint32_t>(e.lanes_[li].size());
   }
-
-  for (const auto& box : p.outbox_) {
-    w.u64(box.size());
-    for (const auto& stamped : box) {
-      write_message(w, stamped.msg);
-      write_time(w, stamped.since);
-    }
+  check(in_lanes == e.alive_.size(), "alive vehicle missing from its lane");
+  for (std::size_t i = 0; i < e.watched_.size(); ++i) {
+    check(is_live(store, e.watched_[i]) && (i == 0 || e.watched_[i - 1] < e.watched_[i]),
+          "watched set names a vehicle that is not alive");
   }
+  e.peak_occupied_lanes_ = std::max(e.peak_occupied_lanes_, e.occupied_lanes_.size());
+  for (auto& candidates : e.node_candidates_) candidates.clear();
+  IVC_ASSERT(e.debug_occupancy_consistent());
 
-  for (const traffic::VehicleId marker : p.marker_on_edge_) write_vid(w, marker);
+  // Demand: update() drains the arrival budget below one every step.
+  traffic::DemandModel& demand = *world.demand_;
+  read("demand", demand);
+  check(demand.arrival_budget_ >= 0.0 && demand.arrival_budget_ < 1.0,
+        "arrival budget out of range");
 
-  for (const counting::Checkpoint& cp : p.checkpoints_) {
-    w.boolean(cp.seed_);
-    w.boolean(cp.active_);
-    write_time(w, cp.activation_time_);
-    write_edge(w, cp.predecessor_edge_);
-    write_node(w, cp.parent_);
-    w.u64(cp.inbound_.size());
-    for (const counting::InboundDirection& in : cp.inbound_) {
-      write_edge(w, in.edge);
-      w.u8(static_cast<std::uint8_t>(in.state));
-      w.i64(in.count);
-      write_time(w, in.start_time);
-      write_time(w, in.stop_time);
-    }
-    w.u64(cp.outbound_.size());
-    for (const counting::OutboundDirection& out : cp.outbound_) {
-      write_edge(w, out.edge);
-      w.boolean(out.needs_label);
-      w.u8(static_cast<std::uint8_t>(out.outcome));
-      w.i32(out.failed_handoffs);
-      write_time(w, out.issue_time);
-    }
-    w.i64(cp.interaction_in_);
-    w.i64(cp.interaction_out_);
-    w.i64(cp.loss_adjust_);
-    w.i64(cp.overtake_adjust_);
-    w.u64(cp.child_reports_.size());
-    for (const auto& [child, total] : cp.child_reports_) {
-      w.u32(child);
-      w.i64(total);
-    }
-    w.u64(cp.children_.size());
-    for (const roadnet::NodeId child : cp.children_) write_node(w, child);
-    w.boolean(cp.report_sent_);
-    w.i64(cp.subtree_total_);
-    write_time(w, cp.report_time_);
-  }
-}
-
-void SnapshotAccess::restore(counting::CountingProtocol& p, const Snapshot& snap) {
-  ByteReader r(snap.section("protocol"));
-
-  check(r.u64() == p.config_.seed, "protocol seed differs");
-  check(r.f64() == p.config_.channel_loss, "channel loss differs");
-  check(r.boolean() == p.config_.open_system, "open-system flag differs");
-  check(r.u64() == p.checkpoints_.size(), "checkpoint count differs");
-  check(r.u64() == p.outbox_.size(), "outbox table size differs");
-  check(r.u64() == p.marker_on_edge_.size(), "marker table size differs");
-
-  p.started_ = r.boolean();
-  p.seeds_.clear();
-  const std::size_t seed_count = r.u64();
-  p.seeds_.reserve(seed_count);
-  for (std::size_t i = 0; i < seed_count; ++i) p.seeds_.push_back(read_node(r));
-  read_rng(r, p.rng_);
-
-  p.channel_.anonymous_attempts_ = r.u64();
-  p.channel_.attempts_ = r.u64();
-  p.channel_.failures_ = r.u64();
-
-  auto& stats = p.stats_;
-  stats.count_events = r.u64();
-  stats.labels_issued = r.u64();
-  stats.label_handoff_failures = r.u64();
-  stats.activations_by_label = r.u64();
-  stats.markers_consumed = r.u64();
-  stats.messages_sent = r.u64();
-  stats.messages_delivered = r.u64();
-  stats.message_pickup_failures = r.u64();
-  stats.patrol_relays = r.u64();
-  stats.overtake_events = r.u64();
-  stats.interaction_entries = r.u64();
-  stats.interaction_exits = r.u64();
-
-  const std::size_t obu_count = r.u64();
-  p.obus_.entries_.assign(obu_count, {});
-  for (auto& entry : p.obus_.entries_) {
-    entry.generation_tag = r.u64();
-    v2x::ObuState& obu = entry.state;
-    obu.counted = r.boolean();
-    if (r.boolean()) {
-      obu.label = read_label(r);
-    } else {
-      obu.label.reset();
-    }
-    obu.overtake_delta = r.i32();
-    const std::size_t cargo_count = r.u64();
-    obu.cargo.clear();
-    obu.cargo.reserve(cargo_count);
-    for (std::size_t c = 0; c < cargo_count; ++c) obu.cargo.push_back(read_message(r));
-    obu.channel_attempts = r.u64();
-  }
-
-  for (auto& box : p.outbox_) {
-    box.clear();
-    const std::size_t n = r.u64();
-    for (std::size_t i = 0; i < n; ++i) {
-      counting::CountingProtocol::StampedMessage stamped{read_message(r), {}};
-      stamped.since = read_time(r);
-      box.push_back(std::move(stamped));
-    }
-  }
-
-  for (traffic::VehicleId& marker : p.marker_on_edge_) marker = read_vid(r);
-
-  for (counting::Checkpoint& cp : p.checkpoints_) {
-    cp.seed_ = r.boolean();
-    cp.active_ = r.boolean();
-    cp.activation_time_ = read_time(r);
-    cp.predecessor_edge_ = read_edge(r);
-    cp.parent_ = read_node(r);
-    check(r.u64() == cp.inbound_.size(), "inbound direction count differs");
-    for (counting::InboundDirection& in : cp.inbound_) {
-      check(read_edge(r) == in.edge, "inbound direction edge differs");
-      in.state = static_cast<counting::DirectionState>(r.u8());
-      in.count = r.i64();
-      in.start_time = read_time(r);
-      in.stop_time = read_time(r);
-    }
-    check(r.u64() == cp.outbound_.size(), "outbound direction count differs");
-    for (counting::OutboundDirection& out : cp.outbound_) {
-      check(read_edge(r) == out.edge, "outbound direction edge differs");
-      out.needs_label = r.boolean();
-      out.outcome = static_cast<counting::LabelOutcome>(r.u8());
-      out.failed_handoffs = r.i32();
-      out.issue_time = read_time(r);
-    }
-    cp.interaction_in_ = r.i64();
-    cp.interaction_out_ = r.i64();
-    cp.loss_adjust_ = r.i64();
-    cp.overtake_adjust_ = r.i64();
-    cp.child_reports_.clear();
-    const std::size_t report_count = r.u64();
-    for (std::size_t i = 0; i < report_count; ++i) {
-      const std::uint32_t child = r.u32();
-      cp.child_reports_[child] = r.i64();
-    }
-    cp.children_.clear();
-    const std::size_t child_count = r.u64();
-    cp.children_.reserve(child_count);
-    for (std::size_t i = 0; i < child_count; ++i) cp.children_.push_back(read_node(r));
-    cp.report_sent_ = r.boolean();
-    cp.subtree_total_ = r.i64();
-    cp.report_time_ = read_time(r);
-  }
-
-  // Memoized pure function of the (identical) network; drop and re-derive.
+  // Protocol, against the engine restored above: no OBU tag from a future
+  // generation, and a label or cargo only on a live vehicle — a label on
+  // the very edge it marks. The next-hop memo is a pure function of the
+  // (identical) network: drop it and re-derive.
+  counting::CountingProtocol& p = *world.protocol_;
+  read("protocol", p);
   p.next_hop_cache_.clear();
-
-  r.expect_end("protocol");
-}
-
-void SnapshotAccess::save(const counting::Oracle& oracle, Snapshot& snap) {
-  ByteWriter w(snap.add_section("oracle"));
-  w.u64(oracle.count_events_);
-  w.i64(oracle.adjustment_sum_);
-  w.u64(oracle.exit_events_);
-  std::vector<std::pair<std::uint64_t, std::uint16_t>> counted;
-  counted.reserve(oracle.counted_times_.size());
-  IVC_ORDER_EXEMPT("entries are collected then sorted by key; serialized order is canonical");
-  for (const auto& [id, times] : oracle.counted_times_) counted.emplace_back(id, times);
-  std::sort(counted.begin(), counted.end());
-  w.u64(counted.size());
-  for (const auto& [id, times] : counted) {
-    w.u64(id);
-    w.u16(times);
+  const auto& entries = p.obus_.entries_;
+  check(entries.size() <= slots, "OBU registry exceeds the vehicle store");
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const std::uint64_t current = v2x::ObuRegistry::generation_tag(store.cold[i].id);
+    check(entries[i].generation_tag <= current, "OBU entry from a future vehicle generation");
+    const bool carried = entries[i].generation_tag == current && store.cold[i].alive;
+    const v2x::ObuState& obu = entries[i].state;
+    check(!obu.label.has_value() || (carried && obu.label->edge == store.edge[i]),
+          "label not on its carrier's edge");
+    check(obu.cargo.empty() || carried, "cargo on a vehicle that is gone");
   }
-}
-
-void SnapshotAccess::restore(counting::Oracle& oracle, const Snapshot& snap) {
-  ByteReader r(snap.section("oracle"));
-  oracle.count_events_ = r.u64();
-  oracle.adjustment_sum_ = r.i64();
-  oracle.exit_events_ = r.u64();
-  oracle.counted_times_.clear();
-  const std::size_t n = r.u64();
-  oracle.counted_times_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t id = r.u64();
-    oracle.counted_times_[id] = r.u16();
+  for (const traffic::VehicleId marker : p.marker_on_edge_) {
+    check(!marker.valid() || is_live(store, marker), "marker carrier is not alive");
   }
-  r.expect_end("oracle");
-}
 
-void SnapshotAccess::save(const counting::PatrolFleet& fleet, Snapshot& snap) {
-  ByteWriter w(snap.add_section("patrol"));
-  w.u64(fleet.vehicles_.size());
-  for (const traffic::VehicleId id : fleet.vehicles_) write_vid(w, id);
-}
-
-void SnapshotAccess::restore(counting::PatrolFleet& fleet, const Snapshot& snap) {
-  ByteReader r(snap.section("patrol"));
-  fleet.vehicles_.clear();
-  const std::size_t n = r.u64();
-  fleet.vehicles_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) fleet.vehicles_.push_back(read_vid(r));
-  r.expect_end("patrol");
+  read("oracle", *world.oracle_);
+  if (world.patrol_) {
+    read("patrol", *world.patrol_);
+    for (const traffic::VehicleId id : world.patrol_->vehicles_) {
+      check(is_live(store, id), "patrol vehicle is not alive");
+    }
+  }
+  read("world", world);
 }
 
 }  // namespace ivc::serve

@@ -1,6 +1,8 @@
 #include "serve/trace.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <thread>
 #include <utility>
 
 #include "serve/snapshot.hpp"
@@ -24,29 +26,58 @@ struct StepRecord {
   std::uint64_t events_emitted = 0;
   std::uint64_t alive = 0;
   std::uint64_t hash = 0;
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& rec) {
+    ar(rec.step);
+    ar(rec.total_spawned);
+    ar(rec.events_emitted);
+    ar(rec.alive);
+    ar(rec.hash);
+  }
 };
 
-void write_source(ByteWriter& w, const TraceSource& source) {
-  w.u8(static_cast<std::uint8_t>(source.kind));
-  w.str(source.name);
-  w.u8(static_cast<std::uint8_t>(source.scale));
-  w.u64(source.case_seed);
-  w.i32(source.threads);
-}
+// The run-level verdicts a replay must also reproduce.
+struct Digest {
+  std::int64_t protocol_total = 0;
+  std::int64_t truth = 0;
+  bool total_exact = false;
+  bool exactly_once = false;
+  bool quiescent = false;
 
-TraceSource read_source(ByteReader& r) {
+  static Digest of(const experiment::RunMetrics& m) {
+    return {m.protocol_total, m.truth, m.total_exact, m.exactly_once, m.quiescent};
+  }
+  friend bool operator==(const Digest&, const Digest&) = default;
+  [[nodiscard]] std::string describe() const {
+    return util::format("(total=%lld truth=%lld exact=%d once=%d quiescent=%d)",
+                        static_cast<long long>(protocol_total), static_cast<long long>(truth),
+                        total_exact ? 1 : 0, exactly_once ? 1 : 0, quiescent ? 1 : 0);
+  }
+};
+
+// A whole trace file: the source, one record per step, the final digest.
+struct TraceFile {
   TraceSource source;
-  const std::uint8_t kind = r.u8();
-  if (kind > 1) throw SnapshotError("trace has an unknown source kind");
-  source.kind = static_cast<TraceSource::Kind>(kind);
-  source.name = r.str();
-  const std::uint8_t scale = r.u8();
-  if (scale > 1) throw SnapshotError("trace has an unknown scenario scale");
-  source.scale = static_cast<experiment::ScenarioScale>(scale);
-  source.case_seed = r.u64();
-  source.threads = r.i32();
-  return source;
-}
+  std::vector<StepRecord> records;
+  Digest digest;
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& trace) {
+    file_header(ar, kTraceMagic, kTraceVersion, "trace");
+    ar(trace.source.kind);
+    ar(trace.source.name);
+    ar(trace.source.scale);
+    ar(trace.source.case_seed);
+    ar(trace.source.threads);
+    ar.seq(trace.records, [](auto& a, auto& rec) { StepRecord::io(a, rec); });
+    ar(trace.digest.protocol_total);
+    ar(trace.digest.truth);
+    ar(trace.digest.total_exact);
+    ar(trace.digest.exactly_once);
+    ar(trace.digest.quiescent);
+  }
+};
 
 // Rebuild the traced scenario's configuration. Both source kinds are pure
 // functions of their key, so this yields the recorded run's exact config.
@@ -63,6 +94,14 @@ experiment::ScenarioConfig resolve_config(const TraceSource& source) {
   } else {
     config = testing::make_fuzz_case(source.case_seed).config;
   }
+  // The thread override sizes the engine's worker team: refuse one the
+  // machine cannot run before any world (or thread) is built.
+  const int max_threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  if (source.threads < -1 || source.threads > max_threads) {
+    throw SnapshotError(util::format(
+        "trace asks for %d engine threads; this machine runs at most %d", source.threads,
+        max_threads));
+  }
   if (source.threads >= 0) config.sim.threads = source.threads;
   return config;
 }
@@ -77,45 +116,21 @@ StepRecord observe(const SimWorld& world, const testing::EventStreamHasher& hash
   return rec;
 }
 
-void write_record(ByteWriter& w, const StepRecord& rec) {
-  w.u64(rec.step);
-  w.u64(rec.total_spawned);
-  w.u64(rec.events_emitted);
-  w.u64(rec.alive);
-  w.u64(rec.hash);
-}
-
-StepRecord read_record(ByteReader& r) {
-  StepRecord rec;
-  rec.step = r.u64();
-  rec.total_spawned = r.u64();
-  rec.events_emitted = r.u64();
-  rec.alive = r.u64();
-  rec.hash = r.u64();
-  return rec;
-}
-
 // First mismatching field of a step record, or empty when equal.
 std::string diff_records(const StepRecord& recorded, const StepRecord& replayed) {
-  const auto field = [&](const char* name, std::uint64_t want,
-                         std::uint64_t got) -> std::string {
-    if (want == got) return {};
+  static constexpr std::pair<const char*, std::uint64_t StepRecord::*> kFields[] = {
+      {"step", &StepRecord::step},
+      {"total_spawned", &StepRecord::total_spawned},
+      {"events_emitted", &StepRecord::events_emitted},
+      {"alive", &StepRecord::alive},
+      {"event_hash", &StepRecord::hash}};
+  for (const auto& [name, field] : kFields) {
+    if (recorded.*field == replayed.*field) continue;
     return util::format("step %llu: %s recorded=%llu replayed=%llu",
                         static_cast<unsigned long long>(recorded.step), name,
-                        static_cast<unsigned long long>(want),
-                        static_cast<unsigned long long>(got));
-  };
-  if (auto d = field("step", recorded.step, replayed.step); !d.empty()) return d;
-  if (auto d = field("total_spawned", recorded.total_spawned, replayed.total_spawned);
-      !d.empty()) {
-    return d;
+                        static_cast<unsigned long long>(recorded.*field),
+                        static_cast<unsigned long long>(replayed.*field));
   }
-  if (auto d = field("events_emitted", recorded.events_emitted, replayed.events_emitted);
-      !d.empty()) {
-    return d;
-  }
-  if (auto d = field("alive", recorded.alive, replayed.alive); !d.empty()) return d;
-  if (auto d = field("event_hash", recorded.hash, replayed.hash); !d.empty()) return d;
   return {};
 }
 
@@ -156,47 +171,27 @@ std::vector<std::uint8_t> record_trace(const TraceSource& source) {
   SimWorld world(config, hooks);
   hasher.bind(&world.engine());
 
-  std::vector<StepRecord> records;
+  TraceFile trace;
+  trace.source = source;
   while (!world.done()) {
     world.step();
-    records.push_back(observe(world, hasher));
+    trace.records.push_back(observe(world, hasher));
   }
-  const experiment::RunMetrics metrics = world.finish();
+  trace.digest = Digest::of(world.finish());
 
   std::vector<std::uint8_t> bytes;
   ByteWriter w(bytes);
-  w.u32(kTraceMagic);
-  w.u32(kTraceVersion);
-  w.u32(Snapshot::kEndianMark);
-  write_source(w, source);
-  w.u64(records.size());
-  for (const StepRecord& rec : records) write_record(w, rec);
-  // Final digest: the run-level verdicts a replay must also reproduce.
-  w.i64(metrics.protocol_total);
-  w.i64(metrics.truth);
-  w.boolean(metrics.total_exact);
-  w.boolean(metrics.exactly_once);
-  w.boolean(metrics.quiescent);
+  TraceFile::io(w, trace);
   return bytes;
 }
 
 ReplayReport replay_trace(const std::vector<std::uint8_t>& bytes) {
+  TraceFile trace;
   ByteReader r(bytes);
-  if (r.u32() != kTraceMagic) throw SnapshotError("not an IVC trace (bad magic)");
-  const std::uint32_t version = r.u32();
-  if (version != kTraceVersion) {
-    throw SnapshotError(util::format(
-        "trace format version %u is not the supported version %u; re-record the trace "
-        "with this build",
-        version, kTraceVersion));
-  }
-  if (r.u32() != Snapshot::kEndianMark) {
-    throw SnapshotError("trace endianness mark is corrupt");
-  }
-  const TraceSource source = read_source(r);
-  const std::uint64_t record_count = r.u64();
+  TraceFile::io(r, trace);
+  r.expect_end("trace");
 
-  const experiment::ScenarioConfig config = resolve_config(source);
+  const experiment::ScenarioConfig config = resolve_config(trace.source);
   testing::EventStreamHasher hasher;
   experiment::RunHooks hooks;
   hooks.observers.push_back(&hasher);
@@ -204,60 +199,33 @@ ReplayReport replay_trace(const std::vector<std::uint8_t>& bytes) {
   hasher.bind(&world.engine());
 
   ReplayReport report;
-  for (std::uint64_t i = 0; i < record_count; ++i) {
-    const StepRecord recorded = read_record(r);
+  const auto diverged = [&](std::string detail) {
+    report.detail = std::move(detail);
+    report.final_hash = hasher.hash();
+    return report;
+  };
+  for (const StepRecord& recorded : trace.records) {
     if (world.done()) {
-      report.detail = util::format(
+      return diverged(util::format(
           "replay converged after %llu steps but the trace has %llu records",
           static_cast<unsigned long long>(report.steps),
-          static_cast<unsigned long long>(record_count));
-      report.final_hash = hasher.hash();
-      return report;
+          static_cast<unsigned long long>(trace.records.size())));
     }
     world.step();
     ++report.steps;
-    const std::string diff = diff_records(recorded, observe(world, hasher));
-    if (!diff.empty()) {
-      report.detail = diff;
-      report.final_hash = hasher.hash();
-      return report;
-    }
+    std::string diff = diff_records(recorded, observe(world, hasher));
+    if (!diff.empty()) return diverged(std::move(diff));
   }
   if (!world.done()) {
-    report.detail = util::format(
-        "trace ends after %llu steps but the replay has not converged",
-        static_cast<unsigned long long>(record_count));
-    report.final_hash = hasher.hash();
-    return report;
+    return diverged(util::format("trace ends after %llu steps but the replay has not converged",
+                                 static_cast<unsigned long long>(trace.records.size())));
   }
-  const experiment::RunMetrics metrics = world.finish();
-
-  const std::int64_t want_total = r.i64();
-  const std::int64_t want_truth = r.i64();
-  const bool want_exact = r.boolean();
-  const bool want_once = r.boolean();
-  const bool want_quiescent = r.boolean();
-  r.expect_end("trace");
-
+  const Digest replayed = Digest::of(world.finish());
   report.final_hash = hasher.hash();
-  if (metrics.protocol_total != want_total) {
-    report.detail = util::format("final protocol_total recorded=%lld replayed=%lld",
-                                 static_cast<long long>(want_total),
-                                 static_cast<long long>(metrics.protocol_total));
-  } else if (metrics.truth != want_truth) {
+  report.ok = replayed == trace.digest;
+  if (!report.ok) {
     report.detail =
-        util::format("final truth recorded=%lld replayed=%lld",
-                     static_cast<long long>(want_truth), static_cast<long long>(metrics.truth));
-  } else if (metrics.total_exact != want_exact || metrics.exactly_once != want_once ||
-             metrics.quiescent != want_quiescent) {
-    report.detail = util::format(
-        "final verdicts recorded=(exact=%d once=%d quiescent=%d) "
-        "replayed=(exact=%d once=%d quiescent=%d)",
-        want_exact ? 1 : 0, want_once ? 1 : 0, want_quiescent ? 1 : 0,
-        metrics.total_exact ? 1 : 0, metrics.exactly_once ? 1 : 0,
-        metrics.quiescent ? 1 : 0);
-  } else {
-    report.ok = true;
+        "final digest recorded=" + trace.digest.describe() + " replayed=" + replayed.describe();
   }
   return report;
 }

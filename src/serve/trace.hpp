@@ -26,12 +26,14 @@ namespace ivc::serve {
 // scenarios by registry name or fuzz case seed — both fully determine the
 // configuration on any build of the same version.
 struct TraceSource {
-  enum class Kind : std::uint8_t { Registry = 0, FuzzCase = 1 };
+  enum class Kind : std::uint8_t { Registry = 0, FuzzCase = 1, kCount };
   Kind kind = Kind::Registry;
   std::string name;  // registry scenario name
   experiment::ScenarioScale scale = experiment::ScenarioScale::Smoke;
   std::uint64_t case_seed = 0;  // fuzz case
-  int threads = -1;             // engine thread override; -1 keeps the config's own
+  // Engine thread override; -1 keeps the config's own. Replay refuses a
+  // value below -1 or above the machine's hardware concurrency.
+  int threads = -1;
 
   [[nodiscard]] static TraceSource registry(std::string scenario_name,
                                             experiment::ScenarioScale s,

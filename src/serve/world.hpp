@@ -56,8 +56,8 @@ class SimWorld {
 
   // Snapshot the complete world state (engine + demand + protocol +
   // oracle + patrol + run-loop bookkeeping). Legal only between steps.
-  void save(Snapshot& snap) const;
-  void restore(const Snapshot& snap);
+  void save(Snapshot& snap) const { SnapshotAccess::save(*this, snap); }
+  void restore(const Snapshot& snap) { SnapshotAccess::restore(*this, snap); }
 
   [[nodiscard]] traffic::SimEngine& engine() { return *engine_; }
   [[nodiscard]] const traffic::SimEngine& engine() const { return *engine_; }
@@ -70,6 +70,9 @@ class SimWorld {
   [[nodiscard]] const experiment::ScenarioConfig& config() const { return config_; }
 
  private:
+  // Field visitors and restore checks (src/serve/snapshot.cpp).
+  friend struct SnapshotAccess;
+
   experiment::ScenarioConfig config_;
   experiment::RunHooks hooks_;
   std::uint64_t wall_start_nanos_ = 0;

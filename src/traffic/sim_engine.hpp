@@ -77,7 +77,6 @@
 #include "util/thread_pool.hpp"
 
 namespace ivc::serve {
-class Snapshot;
 struct SnapshotAccess;
 }  // namespace ivc::serve
 
@@ -159,18 +158,6 @@ class SimEngine {
 
   void step();
   void run_for(util::SimTime duration);
-
-  // ---- snapshot / restore ---------------------------------------------------
-  // Writes the complete engine state (store, free list, lane membership,
-  // RNG, counters) into the snapshot's "engine" section. Legal only
-  // between steps; throws serve::SnapshotError otherwise. Defined in
-  // src/serve/snapshot.cpp next to the component serializers.
-  void save(serve::Snapshot& snap) const;
-  // Restores into an engine built over the SAME network and SimConfig
-  // (validated; serve::SnapshotError on mismatch — thread count excluded,
-  // it is a throughput knob, never state). Restore-then-continue emits
-  // the same event stream as the uninterrupted run, bit for bit.
-  void restore(const serve::Snapshot& snap);
 
   [[nodiscard]] util::SimTime now() const { return now_; }
   [[nodiscard]] std::uint64_t step_count() const { return step_count_; }
@@ -256,6 +243,9 @@ class SimEngine {
   [[nodiscard]] std::uint64_t draw_for(VehicleId id);
 
  protected:
+  // Snapshot field visitor and restore checks (src/serve/snapshot.cpp).
+  friend struct serve::SnapshotAccess;
+
   struct LaneRef {
     roadnet::EdgeId edge;
     int lane;

@@ -10,10 +10,12 @@
 // full 120-seed sweep lives in test_differential_fuzz.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/snapshot.hpp"
@@ -43,44 +45,44 @@ experiment::ScenarioConfig tiny_config() {
 TEST(SnapshotCodec, RoundtripsEveryScalarType) {
   std::vector<std::uint8_t> bytes;
   ByteWriter w(bytes);
-  w.u8(0xab);
-  w.u16(0xbeef);
-  w.u32(0xdeadbeefu);
-  w.u64(0x0123456789abcdefULL);
-  w.i32(-123456789);
-  w.i64(std::numeric_limits<std::int64_t>::min());
-  w.f64(-0.0);
-  w.f64(1.0e308);
-  w.f64(std::numeric_limits<double>::quiet_NaN());
-  w.boolean(true);
-  w.boolean(false);
-  w.str(std::string("with\0null", 9));
-  w.str("");
+  w(std::uint8_t{0xab});
+  w(std::uint16_t{0xbeef});
+  w(std::uint32_t{0xdeadbeefu});
+  w(std::uint64_t{0x0123456789abcdefULL});
+  w(std::int32_t{-123456789});
+  w(std::numeric_limits<std::int64_t>::min());
+  w(-0.0);
+  w(1.0e308);
+  w(std::numeric_limits<double>::quiet_NaN());
+  w(true);
+  w(false);
+  w(std::string("with\0null", 9));
+  w(std::string());
 
   ByteReader r(bytes);
-  EXPECT_EQ(r.u8(), 0xab);
-  EXPECT_EQ(r.u16(), 0xbeef);
-  EXPECT_EQ(r.u32(), 0xdeadbeefu);
-  EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.i32(), -123456789);
-  EXPECT_EQ(r.i64(), std::numeric_limits<std::int64_t>::min());
-  const double neg_zero = r.f64();
+  EXPECT_EQ(r.read<std::uint8_t>(), 0xab);
+  EXPECT_EQ(r.read<std::uint16_t>(), 0xbeef);
+  EXPECT_EQ(r.read<std::uint32_t>(), 0xdeadbeefu);
+  EXPECT_EQ(r.read<std::uint64_t>(), 0x0123456789abcdefULL);
+  EXPECT_EQ(r.read<std::int32_t>(), -123456789);
+  EXPECT_EQ(r.read<std::int64_t>(), std::numeric_limits<std::int64_t>::min());
+  const double neg_zero = r.read<double>();
   EXPECT_EQ(neg_zero, 0.0);
   EXPECT_TRUE(std::signbit(neg_zero));  // bit pattern, not value, roundtrips
-  EXPECT_EQ(r.f64(), 1.0e308);
-  EXPECT_TRUE(std::isnan(r.f64()));
-  EXPECT_TRUE(r.boolean());
-  EXPECT_FALSE(r.boolean());
-  EXPECT_EQ(r.str(), std::string("with\0null", 9));
-  EXPECT_EQ(r.str(), "");
-  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(r.read<double>(), 1.0e308);
+  EXPECT_TRUE(std::isnan(r.read<double>()));
+  EXPECT_TRUE(r.read<bool>());
+  EXPECT_FALSE(r.read<bool>());
+  EXPECT_EQ(r.read<std::string>(), std::string("with\0null", 9));
+  EXPECT_EQ(r.read<std::string>(), "");
+  EXPECT_EQ(r.remaining(), 0u);
   EXPECT_NO_THROW(r.expect_end("codec"));
 }
 
 TEST(SnapshotCodec, ByteOrderIsExplicitLittleEndian) {
   std::vector<std::uint8_t> bytes;
   ByteWriter w(bytes);
-  w.u32(0x01020304u);
+  w(std::uint32_t{0x01020304u});
   ASSERT_EQ(bytes.size(), 4u);
   EXPECT_EQ(bytes[0], 0x04);
   EXPECT_EQ(bytes[1], 0x03);
@@ -91,14 +93,30 @@ TEST(SnapshotCodec, ByteOrderIsExplicitLittleEndian) {
 TEST(SnapshotCodec, TruncationAndTrailingBytesAreLoud) {
   std::vector<std::uint8_t> bytes;
   ByteWriter w(bytes);
-  w.u32(7);
+  w(std::uint32_t{7});
   ByteReader short_read(bytes);
-  (void)short_read.u16();
-  EXPECT_THROW((void)short_read.u64(), SnapshotError);  // runs past the end
+  (void)short_read.read<std::uint16_t>();
+  EXPECT_THROW((void)short_read.read<std::uint64_t>(), SnapshotError);  // runs past the end
 
   ByteReader trailing(bytes);
-  (void)trailing.u16();
+  (void)trailing.read<std::uint16_t>();
   EXPECT_THROW(trailing.expect_end("codec"), SnapshotError);  // 2 bytes left
+}
+
+// A length prefix is checked against the bytes left before anything is
+// allocated, and a boolean byte must be 0 or 1.
+TEST(SnapshotCodec, MalformedPrefixesAndBooleansAreRefused) {
+  std::vector<std::uint8_t> bytes;
+  ByteWriter w(bytes);
+  w(std::uint64_t{1} << 62);
+  w(std::uint64_t{0});
+  std::vector<std::uint64_t> out;
+  ByteReader prefix(bytes);
+  EXPECT_THROW(prefix.seq(out), SnapshotError);
+
+  const std::vector<std::uint8_t> two{2};
+  ByteReader boolean(two);
+  EXPECT_THROW((void)boolean.read<bool>(), SnapshotError);
 }
 
 // ---- versioned container ----------------------------------------------------
@@ -107,11 +125,11 @@ TEST(SnapshotContainer, SectionsRoundtripThroughBytes) {
   Snapshot snap;
   {
     ByteWriter w(snap.add_section("alpha"));
-    w.u64(42);
+    w(std::uint64_t{42});
   }
   {
     ByteWriter w(snap.add_section("beta"));
-    w.str("payload");
+    w(std::string("payload"));
   }
   EXPECT_TRUE(snap.has_section("alpha"));
   EXPECT_FALSE(snap.has_section("gamma"));
@@ -120,18 +138,18 @@ TEST(SnapshotContainer, SectionsRoundtripThroughBytes) {
   const Snapshot parsed = Snapshot::from_bytes(snap.to_bytes());
   ASSERT_EQ(parsed.section_count(), 2u);
   ByteReader a(parsed.section("alpha"));
-  EXPECT_EQ(a.u64(), 42u);
+  EXPECT_EQ(a.read<std::uint64_t>(), 42u);
   ByteReader b(parsed.section("beta"));
-  EXPECT_EQ(b.str(), "payload");
+  EXPECT_EQ(b.read<std::string>(), "payload");
 }
 
 TEST(SnapshotContainer, RejectsBadMagic) {
   std::vector<std::uint8_t> bytes;
   ByteWriter w(bytes);
-  w.u32(0x4b4f4f42u);  // some other file format
-  w.u32(Snapshot::kVersion);
-  w.u32(Snapshot::kEndianMark);
-  w.u32(0);
+  w(std::uint32_t{0x4b4f4f42u});  // some other file format
+  w(Snapshot::kVersion);
+  w(Snapshot::kEndianMark);
+  w(std::uint32_t{0});
   EXPECT_THROW((void)Snapshot::from_bytes(bytes), SnapshotError);
 }
 
@@ -140,10 +158,10 @@ TEST(SnapshotContainer, RejectsBadMagic) {
 TEST(SnapshotContainer, RejectsVersionSkewLoudly) {
   std::vector<std::uint8_t> bytes;
   ByteWriter w(bytes);
-  w.u32(Snapshot::kMagic);
-  w.u32(Snapshot::kVersion + 1);
-  w.u32(Snapshot::kEndianMark);
-  w.u32(0);
+  w(Snapshot::kMagic);
+  w(Snapshot::kVersion + 1);
+  w(Snapshot::kEndianMark);
+  w(std::uint32_t{0});
   try {
     (void)Snapshot::from_bytes(bytes);
     FAIL() << "version skew accepted";
@@ -178,7 +196,7 @@ TEST(SnapshotContainer, RejectsVersionOneWorldSnapshot) {
 TEST(SnapshotContainer, RejectsTruncatedSectionTable) {
   Snapshot snap;
   ByteWriter w(snap.add_section("alpha"));
-  w.u64(42);
+  w(std::uint64_t{42});
   const std::vector<std::uint8_t> bytes = snap.to_bytes();
   const std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 3);
   EXPECT_THROW((void)Snapshot::from_bytes(truncated), SnapshotError);
@@ -260,6 +278,131 @@ TEST(SimWorldSnapshot, RestoreRefusesPatchedPopulationInside) {
   }
 }
 
+// ---- pinned format ----------------------------------------------------------
+
+// An open tiny world with one patrol car: the only pinned world that
+// writes the demand model's arrival budget and a "patrol" section.
+experiment::ScenarioConfig tiny_open_patrol_config() {
+  experiment::ScenarioConfig config = tiny_config();
+  config.mode = experiment::SystemMode::Open;
+  config.num_patrol = 1;
+  return config;
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+Snapshot save_after(const experiment::ScenarioConfig& config, int steps) {
+  SimWorld world(config);
+  for (int i = 0; i < steps && !world.done(); ++i) world.step();
+  Snapshot snap;
+  world.save(snap);
+  return snap;
+}
+
+struct PinnedSection {
+  const char* name;
+  std::uint64_t hash;
+};
+
+void expect_pinned(const Snapshot& snap, const std::vector<PinnedSection>& pinned) {
+  EXPECT_EQ(snap.section_count(), pinned.size());
+  for (const PinnedSection& p : pinned) {
+    ASSERT_TRUE(snap.has_section(p.name)) << p.name;
+    EXPECT_EQ(fnv1a(snap.section(p.name)), p.hash)
+        << "section '" << p.name << "' bytes changed: bump Snapshot::kVersion";
+  }
+}
+
+// The byte format is pinned, not just self-consistent: a codec change
+// that alters any section's bytes without a version bump fails here even
+// when save and restore still agree with each other.
+TEST(SnapshotFormat, ClosedWorldSectionBytesArePinned) {
+  expect_pinned(save_after(tiny_config(), 200), {{"engine", 0xabb03ec0a734acf4ULL},
+                                                 {"demand", 0xfcd8a8c03daddb01ULL},
+                                                 {"protocol", 0xd137aecd8758c5b2ULL},
+                                                 {"oracle", 0xac966c955f01339dULL},
+                                                 {"world", 0x37dbcf3d306ce419ULL}});
+}
+
+TEST(SnapshotFormat, OpenPatrolWorldSectionBytesArePinned) {
+  expect_pinned(save_after(tiny_open_patrol_config(), 200),
+                {{"engine", 0xc10e5e6c13fe4776ULL},
+                 {"demand", 0xa8a6ad80f98db507ULL},
+                 {"protocol", 0x42cf4ac6cfd0228aULL},
+                 {"oracle", 0xe21a32f4f48e12d7ULL},
+                 {"patrol", 0x392209f14dea4c24ULL},
+                 {"world", 0x37dbcf3d306ce419ULL}});
+}
+
+TEST(SnapshotFormat, TraceBytesArePinned) {
+  const std::vector<std::uint8_t> bytes =
+      record_trace(TraceSource::fuzz_case(testing::campaign_case_seed(2014, 0)));
+  EXPECT_EQ(fnv1a(bytes), 0x589a5dd5d03c80fbULL);
+}
+
+// ---- malformed input ----------------------------------------------------------
+
+constexpr std::size_t kHeaderBytes = 16;  // magic, version, endian mark, section count
+
+// Restores `bytes` into a fresh world and steps it 100 steps. Restore
+// treats the bytes as untrusted: it either refuses them with SnapshotError
+// (returns true) or yields a world that steps without aborting. Any other
+// exception is a test failure.
+bool refused_or_runs(const experiment::ScenarioConfig& config,
+                     const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  try {
+    SimWorld world(config, SimWorld::Mode::Restore);
+    try {
+      world.restore(Snapshot::from_bytes(bytes));
+    } catch (const SnapshotError&) {
+      return true;
+    }
+    for (int i = 0; i < 100 && !world.done(); ++i) world.step();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "mutation at byte " << at << " threw " << e.what();
+  }
+  return false;
+}
+
+// Every single-byte corruption (XOR 0xFF) after the header, and every
+// small u64 (each length prefix among them) raised to 2^62.
+void expect_mutants_refused_or_run(const experiment::ScenarioConfig& config) {
+  const std::vector<std::uint8_t> good = save_after(config, 200).to_bytes();
+  std::size_t refused = 0;
+  std::size_t prefixes = 0;
+  for (std::size_t i = kHeaderBytes; i < good.size(); ++i) {
+    std::vector<std::uint8_t> bytes = good;
+    bytes[i] ^= 0xFF;
+    if (refused_or_runs(config, bytes, i)) ++refused;
+  }
+  for (std::size_t i = kHeaderBytes; i + 8 <= good.size(); ++i) {
+    std::uint64_t value = 0;
+    for (std::size_t b = 0; b < 8; ++b) value |= std::uint64_t{good[i + b]} << (8 * b);
+    if (value >= (1u << 16)) continue;
+    std::vector<std::uint8_t> bytes = good;
+    for (std::size_t b = 0; b < 8; ++b) bytes[i + b] = b == 7 ? 0x40 : 0x00;  // 2^62
+    ++prefixes;
+    if (refused_or_runs(config, bytes, i)) ++refused;
+  }
+  EXPECT_GT(prefixes, 0u);
+  EXPECT_GT(refused, good.size() / 10);
+}
+
+TEST(SnapshotMalformed, ClosedWorldMutantsAreRefusedOrRun) {
+  expect_mutants_refused_or_run(tiny_config());
+}
+
+TEST(SnapshotMalformed, OpenPatrolWorldMutantsAreRefusedOrRun) {
+  expect_mutants_refused_or_run(tiny_open_patrol_config());
+}
+
 TEST(SimWorldSnapshot, RoundtripReproducesUninterruptedRunBitExact) {
   const testing::DiffResult diff = testing::diff_config_snapshot(tiny_config(), 7);
   EXPECT_TRUE(diff.match) << diff.summary << "\n  divergence: " << diff.divergence;
@@ -291,6 +434,28 @@ TEST(TraceReplay, RejectsVersionSkew) {
   std::vector<std::uint8_t> bytes = record_trace(source);
   bytes[4] ^= 0xff;  // the version word follows the magic
   EXPECT_THROW((void)replay_trace(bytes), SnapshotError);
+}
+
+// The trace's thread override sizes the engine's worker team, so replay
+// refuses one the machine cannot run before building any world.
+TEST(TraceReplay, RefusesThreadCountBeyondTheMachine) {
+  const int too_many = static_cast<int>(std::max(1u, std::thread::hardware_concurrency())) + 1;
+  const std::uint64_t seed = testing::campaign_case_seed(2014, 0);
+  EXPECT_THROW((void)record_trace(TraceSource::fuzz_case(seed, too_many)), SnapshotError);
+
+  const std::vector<std::uint8_t> good = record_trace(TraceSource::fuzz_case(seed));
+  // Header (12 bytes), source kind (1), empty name (4), scale (1) and case
+  // seed (8); the i32 thread override follows.
+  constexpr std::size_t kThreadsOffset = 26;
+  ASSERT_EQ(good[kThreadsOffset], 0xff);  // -1: keep the case's own
+  for (const int threads : {too_many, -2}) {
+    std::vector<std::uint8_t> bytes = good;
+    for (std::size_t b = 0; b < 4; ++b) {
+      const auto word = static_cast<std::uint32_t>(threads);
+      bytes[kThreadsOffset + b] = static_cast<std::uint8_t>(word >> (8 * b));
+    }
+    EXPECT_THROW((void)replay_trace(bytes), SnapshotError) << threads;
+  }
 }
 
 }  // namespace
