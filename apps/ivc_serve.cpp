@@ -106,9 +106,11 @@ int main(int argc, char** argv) {
   util::Cli cli("ivc_serve", "long-running counting service + trace record/replay");
   cli.add_string("scenario", &scenario, "registry scenario to serve");
   cli.add_flag("full", &full, "use evaluation scale instead of smoke scale");
-  cli.add_int("readers", &readers, "concurrent query threads");
+  cli.add_int("readers", &readers, "concurrent query threads (1 .. hardware concurrency)");
   cli.add_int("min-queries", &min_queries, "minimum queries per reader thread");
-  cli.add_int("threads", &threads, "engine worker count (-1: scenario default)");
+  cli.add_int("threads", &threads,
+              "engine worker count, up to hardware concurrency (-1: scenario default, "
+              "0: all cores)");
   cli.add_string("record-trace", &record_trace_path,
                  "run the scenario and write a replayable input trace to this file");
   cli.add_string("replay-trace", &replay_trace_path,
@@ -119,6 +121,16 @@ int main(int argc, char** argv) {
               "roundtrip cut step (-1: derive from the scenario seed)");
   cli.add_flag("list", &list, "list the scenario registry and exit");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  // Both flags size thread teams: refuse a count this machine cannot run
+  // (or a negative one) here, before any thread is started.
+  for (const std::string& error :
+       {serve::thread_flag_error("--readers", readers, 1, serve::max_threads()),
+        serve::thread_flag_error("--threads", threads, -1, serve::max_threads())}) {
+    if (!error.empty()) {
+      std::fprintf(stderr, "usage error: %s\n", error.c_str());
+      return 1;
+    }
+  }
 
   if (list) {
     for (const auto& entry : experiment::ScenarioRegistry::builtin().entries()) {

@@ -450,6 +450,9 @@ void SnapshotAccess::restore(SimWorld& world, const Snapshot& snap) {
   std::vector<std::uint8_t> seen(slots, kUnseen);
   e.alive_pos_.assign(slots, 0);
   e.class_population_.assign(traffic::SimEngine::kAttrClasses, 0);
+  // The next-edge cache is a memo of the routes, not state: unset, the
+  // first dynamics step re-resolves it from the restored routes.
+  e.store_.next_edge.assign(slots, roadnet::EdgeId::invalid());
   std::size_t inside = 0;
   for (std::size_t i = 0; i < e.alive_.size(); ++i) {
     const std::uint32_t slot = e.alive_[i].slot();

@@ -96,12 +96,9 @@ experiment::ScenarioConfig resolve_config(const TraceSource& source) {
   }
   // The thread override sizes the engine's worker team: refuse one the
   // machine cannot run before any world (or thread) is built.
-  const int max_threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  if (source.threads < -1 || source.threads > max_threads) {
-    throw SnapshotError(util::format(
-        "trace asks for %d engine threads; this machine runs at most %d", source.threads,
-        max_threads));
-  }
+  const std::string bad_threads =
+      thread_flag_error("trace engine threads", source.threads, -1, max_threads());
+  if (!bad_threads.empty()) throw SnapshotError(bad_threads);
   if (source.threads >= 0) config.sim.threads = source.threads;
   return config;
 }
@@ -160,6 +157,18 @@ std::string TraceSource::describe() const {
                         scale == experiment::ScenarioScale::Full ? "full" : "smoke");
   }
   return util::format("fuzz-case:0x%016llx", static_cast<unsigned long long>(case_seed));
+}
+
+int max_threads() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
+std::string thread_flag_error(const char* name, std::int64_t value, std::int64_t lo,
+                              std::int64_t hi) {
+  if (value >= lo && value <= hi) return {};
+  return util::format("%s %lld is out of range [%lld, %lld] on this machine", name,
+                      static_cast<long long>(value), static_cast<long long>(lo),
+                      static_cast<long long>(hi));
 }
 
 std::vector<std::uint8_t> record_trace(const TraceSource& source) {

@@ -42,6 +42,17 @@ struct TraceSource {
   [[nodiscard]] std::string describe() const;
 };
 
+// The most threads a run may ask for on this machine: its hardware
+// concurrency, at least 1. A trace's engine-thread override and the
+// ivc_serve --threads/--readers flags are refused above it, before any
+// world or thread is built.
+[[nodiscard]] int max_threads();
+
+// Empty when `value` lies in [lo, hi]; otherwise a message naming the
+// setting `name` (e.g. "--readers") and the allowed range.
+[[nodiscard]] std::string thread_flag_error(const char* name, std::int64_t value,
+                                            std::int64_t lo, std::int64_t hi);
+
 // Run the scenario to completion, recording one record per step; returns
 // the serialized trace. Throws SnapshotError (shared codec/error type)
 // when the source does not resolve to a scenario.

@@ -133,6 +133,20 @@ void ReferenceKernel::check_invariants() {
   for (const traffic::VehicleCold& cold : store().cold) {
     if (cold.alive) ++alive_scan;
   }
+  // The hot next-edge column is a memo of the route: unset, or the edge
+  // the route names next. A stale entry would steer the fast kernel's
+  // front vehicles by an edge the route has already left behind.
+  for (const traffic::VehicleId id : alive_vehicles()) {
+    const roadnet::EdgeId cached = store().next_edge[id.slot()];
+    if (cached.valid() && cached != store().cold[id.slot()].route.peek()) {
+      record_violation(util::format("vehicle slot %u caches next edge %u but its route names %u "
+                                    "at step %llu",
+                                    id.slot(), cached.value(),
+                                    store().cold[id.slot()].route.peek().value(),
+                                    static_cast<unsigned long long>(step_count())));
+      break;
+    }
+  }
   if (alive_scan != alive_count()) {
     record_violation(util::format("alive index size %zu but slot scan finds %zu alive",
                                   alive_count(), alive_scan));

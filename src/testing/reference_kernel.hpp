@@ -10,13 +10,16 @@
 // phase bodies, so the two engines perform identical per-vehicle math and
 // consume identical RNG draws. Any divergence between their event streams
 // therefore isolates a bug in the fast enumeration structures, not a
-// modelling difference.
+// modelling difference. Dynamics is the one phase whose fast body differs:
+// the engine runs dynamics_lanes (hot next-edge cache, per-edge room,
+// interleaved followers), the kernel runs the scalar dynamics_pass, so the
+// bank also checks that kernel against its reference.
 //
 // The kernel additionally re-derives, by linear scan each step, the
 // quantities the fast engine maintains incrementally (population_inside
 // and its per-exterior-class histogram, occupied-lane worklist, per-edge
-// counters, lane ordering) and records a violation when a counter and its
-// recount disagree. Violations are collected rather than asserted so a
+// counters, lane ordering, the next-edge cache against each route) and
+// records a violation when a counter and its recount disagree. Violations are collected rather than asserted so a
 // fuzz campaign can shrink and report the failing case instead of
 // aborting.
 //

@@ -1,6 +1,7 @@
 #include "traffic/sim_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -12,10 +13,37 @@ namespace ivc::traffic {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// Minimum bumper-to-bumper separation enforced by the overlap clamp.
-constexpr double kMinSeparation = 0.1;
 // Where a blocked front vehicle stops, measured back from the segment end.
 constexpr double kStopMargin = 0.5;
+// Lanes whose follower chains dynamics_lanes interleaves.
+constexpr std::size_t kDynamicsChains = 4;
+
+// One follower's step against its leader, whose position and speed are
+// already this step's: dynamics_pass's follower branch, expression for
+// expression.
+inline void step_follower(double* pos, double* spd, const double* len, const double* dsf,
+                          std::uint32_t slot, std::uint32_t leader, double seg_length,
+                          double speed_limit, double dt) {
+  // Vehicles already past the end are waiting for admission.
+  if (pos[slot] >= seg_length) {
+    spd[slot] = 0.0;
+    return;
+  }
+  const double gap = std::min(pos[leader], seg_length) - len[leader] - pos[slot];
+  const double desired = speed_limit * dsf[slot];
+  const double accel =
+      idm_acceleration(spd[slot], desired, gap, spd[slot] - spd[leader], kEngineIdm);
+  double v = std::clamp(spd[slot] + accel * dt, 0.0, desired);
+  double p = pos[slot] + v * dt;
+  const double limit =
+      std::min(pos[leader] - len[leader] - kMinSeparation, seg_length - kStopMargin);
+  if (p > limit) {
+    p = std::max(pos[slot], limit);
+    v = (p - pos[slot]) / dt;
+  }
+  pos[slot] = p;
+  spd[slot] = v;
+}
 }  // namespace
 
 thread_local SimEngine::ShardContext* SimEngine::tls_shard_ = nullptr;
@@ -37,6 +65,7 @@ SimEngine::SimEngine(const roadnet::RoadNetwork& net, SimConfig config)
   lanes_.resize(total_lanes);
   edge_count_.assign(net_.num_segments(), 0);
   entry_space_.assign(total_lanes, 0.0);
+  edge_room_.assign(net_.num_segments(), 0.0);
   node_candidates_.resize(net_.num_intersections());
   class_population_.assign(kAttrClasses, 0);
 
@@ -340,6 +369,7 @@ roadnet::EdgeId SimEngine::ensure_next_edge(std::uint32_t slot, roadnet::NodeId 
   }
   IVC_ASSERT_MSG(net_.segment(next).from == node || net_.segment(next).is_inbound_gateway(),
                  "route continuity violated");
+  store_.next_edge[slot] = next;
   return next;
 }
 
@@ -518,10 +548,30 @@ void SimEngine::lane_change_pass(std::uint32_t index) {
 
 void SimEngine::prepare_entry_space() {
   // O(occupied lanes): one read of each occupied lane's rearmost vehicle.
+  // The worklist is segment-major, so an edge's occupied lanes are
+  // consecutive and its room is folded in the same pass.
+  roadnet::EdgeId edge;
+  std::size_t occupied = 0;
+  double room = -kInf;
+  const auto close_edge = [&] {
+    if (!edge.valid()) return;
+    edge_room_[edge.value()] =
+        occupied == static_cast<std::size_t>(net_.segment(edge).lanes) ? room : kInf;
+  };
   for (const std::uint32_t index : occupied_lanes_) {
     const std::uint32_t rear = lanes_[index].front().slot();
-    entry_space_[index] = store_.position[rear] - store_.length[rear];
+    const double space = store_.position[rear] - store_.length[rear];
+    entry_space_[index] = space;
+    if (lane_refs_[index].edge != edge) {
+      close_edge();
+      edge = lane_refs_[index].edge;
+      occupied = 0;
+      room = -kInf;
+    }
+    ++occupied;
+    room = std::max(room, space);
   }
+  close_edge();
 }
 
 int SimEngine::snapshot_entry_lane(roadnet::EdgeId edge, double len) const {
@@ -556,26 +606,97 @@ void SimEngine::update_dynamics() {
     // a single code path.
     shard_lanes(occupied_lanes_, nshards, &shard_ranges_);
     run_sharded(util::PerfPhase::Dynamics, [this](ShardContext& ctx) {
-      for (std::size_t i = ctx.range.begin; i < ctx.range.end; ++i) {
-        dynamics_pass(occupied_lanes_[i]);
-      }
+      dynamics_lanes(occupied_lanes_.data() + ctx.range.begin, ctx.range.end - ctx.range.begin);
     });
     return;
   }
-  // Serial: the live worklist is safe to iterate directly (ascending =
-  // the old full-scan order).
-  for (std::size_t w = 0; w < occupied_lanes_.size(); ++w) {
-    const std::uint32_t index = occupied_lanes_[w];
-    if (w + 1 < occupied_lanes_.size()) {
-      // On a city-scale map the occupied lanes are scattered across a
-      // lane table far larger than cache; overlap the next lane's loads
-      // with this lane's integration.
-      const std::uint32_t next_index = occupied_lanes_[w + 1];
-      __builtin_prefetch(lanes_[next_index].data());
-      __builtin_prefetch(&net_.segment(lane_refs_[next_index].edge));
+  dynamics_lanes(occupied_lanes_.data(), occupied_lanes_.size());
+}
+
+void SimEngine::dynamics_lanes(const std::uint32_t* lanes, std::size_t count) {
+  const double dt = config_.dt;
+  // Raw pointers are safe: nothing on the dynamics path grows the store.
+  double* const pos = store_.position.data();
+  double* const spd = store_.speed.data();
+  const double* const len = store_.length.data();
+  const double* const dsf = store_.desired_speed_factor.data();
+  // A follower's step is a chain of dependent loads and divisions; lanes
+  // are independent in this phase, so up to kDynamicsChains lanes' chains
+  // advance round-robin and overlap. Within a lane the order stays
+  // front-to-back: a follower steps only after its leader has.
+  struct Chain {
+    const VehicleId* ids;
+    std::size_t next;  // follower to step next; ids[next + 1] is its leader
+    double length;
+    double speed_limit;
+  };
+  std::array<Chain, kDynamicsChains> chains;
+  std::size_t live = 0;
+  std::size_t w = 0;
+  for (;;) {
+    // Top up: a new lane's front vehicle runs at once, in worklist order
+    // (it may call the route planner); its followers join the rotation.
+    while (live < kDynamicsChains && w < count) {
+      const std::uint32_t index = lanes[w++];
+      if (w < count) {
+        // On a city-scale map the occupied lanes are scattered across a
+        // lane table far larger than cache; overlap the next lane's loads.
+        __builtin_prefetch(lanes_[lanes[w]].data());
+        __builtin_prefetch(&net_.segment(lane_refs_[lanes[w]].edge));
+      }
+      const auto& lane_list = lanes_[index];
+      const roadnet::Segment& seg = net_.segment(lane_refs_[index].edge);
+      dynamics_front(lane_list.back().slot(), seg);
+      if (lane_list.size() > 1) {
+        chains[live++] = {lane_list.data(), lane_list.size() - 2, seg.length, seg.speed_limit};
+      }
     }
-    dynamics_pass(index);
+    if (live == 0) break;
+    for (std::size_t c = 0; c < live;) {
+      Chain& chain = chains[c];
+      step_follower(pos, spd, len, dsf, chain.ids[chain.next].slot(),
+                    chain.ids[chain.next + 1].slot(), chain.length, chain.speed_limit, dt);
+      if (chain.next-- == 0) {
+        chain = chains[--live];  // lane done; its slot takes the last chain
+      } else {
+        ++c;
+      }
+    }
   }
+}
+
+void SimEngine::dynamics_front(std::uint32_t slot, const roadnet::Segment& seg) {
+  const double dt = config_.dt;
+  double& pos = store_.position[slot];
+  double& spd = store_.speed[slot];
+  if (pos >= seg.length) {
+    spd = 0.0;
+    return;
+  }
+  double gap = kInf;
+  if (!seg.is_outbound_gateway() && pos > seg.length - config_.intersection_lookahead) {
+    // The stop-line decision of dynamics_pass, from the hot next-edge
+    // column and the per-edge fold of the entry-room snapshot; the cold
+    // route is read only the first time this route position is resolved.
+    roadnet::EdgeId next = store_.next_edge[slot];
+    if (!next.valid()) next = ensure_next_edge(slot, seg.to);
+    if (entry_blocked(next, store_.length[slot])) gap = (seg.length - kStopMargin) - pos;
+  }
+  const double desired = seg.speed_limit * store_.desired_speed_factor[slot];
+  // No leader, or a standing stop line: dv = v - 0 = v.
+  const double accel = idm_acceleration(spd, desired, gap, spd, kEngineIdm);
+  double v = std::clamp(spd + accel * dt, 0.0, desired);
+  double p = pos + v * dt;
+  if (std::isfinite(gap)) {
+    // Blocked at the stop line.
+    const double limit = seg.length - kStopMargin;
+    if (p > limit) {
+      p = std::max(pos, limit);
+      v = (p - pos) / dt;
+    }
+  }
+  pos = p;
+  spd = v;
 }
 
 void SimEngine::dynamics_pass(std::uint32_t index) {
@@ -779,6 +900,7 @@ void SimEngine::admit_at_node(roadnet::NodeId node_id) {
     const bool now_inside = !net_.segment(next).is_gateway();
     remove_from_lane(cand.veh);
     cold.route.advance();
+    store_.next_edge[slot] = roadnet::EdgeId::invalid();
     insert_into_lane(cand.veh, next, entry_lane, 0.0);
     cold.entry_seq = ++entry_seq_counter_;
     ++admitted;

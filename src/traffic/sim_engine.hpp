@@ -50,6 +50,23 @@
 // striding through fat AoS records; the arithmetic is unchanged, so the
 // layout is invisible in the event stream.
 //
+// Front-vehicle fast path: dynamics runs dynamics_lanes over the
+// worklist (serially, or one contiguous range per shard). A lane's front
+// vehicle decides whether to treat the stop line as an obstacle from two
+// hot reads: the store's next_edge column (cold.route.peek(), cached the
+// first time ensure_next_edge resolves it) and edge_room_, the per-edge
+// fold of the entry-room snapshot prepare_entry_space takes. Invariant:
+// next_edge is unset, or equals the route's next edge; spawn, every route
+// advance at admission and slot reset unset it, and only ensure_next_edge
+// sets it. It is a memo, not state: snapshots do not carry it and restore
+// leaves it unset, so snapshot bytes do not depend on it and a restored
+// run re-resolves the same edges. Followers step through the same
+// expressions as the scalar dynamics_pass, with the follower chains of
+// kDynamicsChains lanes interleaved so their dependent loads and divisions
+// overlap; dynamics_pass itself remains the reference body the
+// differential kernel runs, so every fuzz case checks the two against
+// each other.
+//
 // Model notes:
 //  * "Simple road model" (paper Sec. III-A): single-lane roads, no lane
 //    changes, one admission per intersection per step -> strictly FIFO
@@ -81,6 +98,10 @@ struct SnapshotAccess;
 }  // namespace ivc::serve
 
 namespace ivc::traffic {
+
+// Minimum bumper-to-bumper separation enforced by the overlap clamp; an
+// entering vehicle needs this plus one metre behind the rearmost one.
+inline constexpr double kMinSeparation = 0.1;
 
 struct SimConfig {
   double dt = 0.5;  // s per step
@@ -267,16 +288,28 @@ class SimEngine {
   // Per-lane / per-node phase bodies shared by the fast drivers above and
   // the reference kernel's full scans. Each is a no-op on an empty lane, so
   // a full scan over all lane indices performs the same per-vehicle work —
-  // and consumes the same RNG draws — as the worklist walk. They are also
-  // the exact bodies the parallel shards execute, which is why a sharded
-  // run reproduces the serial stream bit for bit.
+  // and consumes the same RNG draws — as the worklist walk. The parallel
+  // shards execute the same bodies as the serial path (dynamics_lanes for
+  // dynamics), which is why a sharded run reproduces the serial stream bit
+  // for bit.
   //
   // IVC_SHARD_PASS marks the bodies that run on fork-join workers: rule R3
   // (tools/ivc_lint) walks their call graph and rejects I/O, logging,
   // non-stream randomness and calls into IVC_SERIAL_ONLY functions — the
   // static twin of the `tls_shard_ == nullptr` ownership assertions.
   IVC_SHARD_PASS void lane_change_pass(std::uint32_t lane_idx);
+  // dynamics_pass is the scalar per-lane body: the reference kernel and
+  // the injected-bug engines drive it, and it reads the route and the
+  // per-lane entry snapshot directly. The engine's own update_dynamics
+  // runs dynamics_lanes over a contiguous range of the worklist (the
+  // serial path and every shard alike): the same per-vehicle expressions
+  // in the same order within each lane, with each front decided from the
+  // next_edge column and edge_room_, and the followers of several lanes
+  // stepped round-robin (lanes share no state in dynamics).
   IVC_SHARD_PASS void dynamics_pass(std::uint32_t lane_idx);
+  IVC_SHARD_PASS void dynamics_lanes(const std::uint32_t* lanes, std::size_t count);
+  // The front-vehicle body of dynamics_lanes.
+  IVC_SHARD_PASS void dynamics_front(std::uint32_t slot, const roadnet::Segment& seg);
   // Appends the lane's front vehicle to its node's candidate list (or
   // despawns it on an outbound gateway); registers the node in
   // active_nodes_ on first candidate. Serial-only: despawns and candidate
@@ -290,25 +323,36 @@ class SimEngine {
   IVC_SHARD_PASS void overtake_scan(VehicleId wid);
 
   // Snapshot of per-lane entry room (rearmost position − length) for every
-  // occupied lane, taken at the top of the dynamics phase. dynamics_pass
-  // reads next-edge room from this snapshot instead of live positions, so
+  // occupied lane, taken at the top of the dynamics phase (with its
+  // per-edge fold, edge_room_). Both dynamics bodies read next-edge room
+  // from this snapshot instead of live positions, so
   // the stop-line decision of a lane's front vehicle cannot depend on
   // whether the next edge's lanes were integrated before or after it —
   // neither across the serial scan order nor across shards. Must be called
   // by every update_dynamics driver (the reference kernel's full scan
-  // included) before the first dynamics_pass.
+  // included) before the first dynamics body runs.
   void prepare_entry_space();
   // pick_entry_lane against the snapshot (same tie-breaks); admission and
   // spawning keep using the live pick_entry_lane below.
   [[nodiscard]] int snapshot_entry_lane(roadnet::EdgeId edge, double len) const;
+  // snapshot_entry_lane(next, len) < 0 in two loads: an edge is blocked
+  // only when every lane is occupied and even its roomiest lane lacks the
+  // jam gap. Exact, because subtracting the same `len` is monotone in
+  // IEEE arithmetic: max(space) - len < bound iff every space - len is.
+  [[nodiscard]] bool entry_blocked(roadnet::EdgeId next, double len) const {
+    return edge_count_[next.value()] != 0 &&
+           edge_room_[next.value()] - len < kMinSeparation + 1.0;
+  }
 
   // True if lane `lane` of `edge` has room for a vehicle of length `len`
   // entering at position 0.
   [[nodiscard]] bool entry_has_room(roadnet::EdgeId edge, int lane, double len) const;
   [[nodiscard]] int pick_entry_lane(roadnet::EdgeId edge, double len) const;
   // Next interior/gateway edge the vehicle in `slot` will take from
-  // `node`; replans via the route planner when exhausted. Returns invalid
-  // only if the vehicle must despawn (should not happen at interior nodes).
+  // `node`; replans via the route planner when exhausted. Always resolves
+  // from the cold route, and caches the answer in the store's next_edge
+  // column. Returns invalid only if the vehicle must despawn (should not
+  // happen at interior nodes).
   roadnet::EdgeId ensure_next_edge(std::uint32_t slot, roadnet::NodeId node);
 
   // Shard-safe by construction: lane lists and edge counters are
@@ -424,6 +468,10 @@ class SimEngine {
   // only for lanes occupied when prepare_entry_space() ran (empty lanes
   // are detected live — membership never changes during dynamics).
   std::vector<double> entry_space_;
+  // Per-edge fold of the same snapshot: +inf when some lane of the edge is
+  // empty, else the largest entry_space_ over its lanes. Valid only for
+  // edges with edge_count_ != 0.
+  std::vector<double> edge_room_;
   // Fork-join team (threads > 1 only) and its per-worker shard contexts.
   std::unique_ptr<util::ForkJoinPool> pool_;
   std::vector<ShardContext> shards_;

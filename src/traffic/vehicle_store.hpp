@@ -1,6 +1,6 @@
 // Struct-of-arrays vehicle storage.
 //
-// The engine's per-step hot loops — IDM integration (dynamics_pass),
+// The engine's per-step hot loops — IDM integration (dynamics_lanes),
 // gap-acceptance lane changes (lane_change_pass) and the overtake scan —
 // sweep lanes of vehicles reading a handful of scalars each. The old AoS
 // `Vehicle` record spread those scalars across ~200 bytes of struct (route
@@ -11,9 +11,12 @@
 // sweep streams exactly the bytes it computes with; everything the sweeps
 // never read per vehicle stays in the parallel VehicleCold record
 // (vehicle.hpp), touched only on slow paths (spawn, admission, despawn,
-// protocol queries). The IDM parameters are not a column: every vehicle
-// drives with the engine-wide constants (kEngineIdm, idm.hpp, δ = 4), so
-// a sweep streams only the kinematics it integrates.
+// protocol queries). One column is derived rather than state: next_edge
+// caches the route's next edge for the dynamics kernel's front vehicles
+// (see the column's comment); it is never serialized. The IDM parameters
+// are not a column: every vehicle drives with the engine-wide constants
+// (kEngineIdm, idm.hpp, δ = 4), so a sweep streams only the kinematics it
+// integrates.
 //
 // Invariants:
 //  * every array has exactly one row per slot (rows_consistent());
@@ -55,6 +58,13 @@ class VehicleStore {
   // Patrol flag as a byte so the lane-change sweep reads it from a dense
   // array (std::vector<bool> would cost a bit-shift per access).
   std::vector<std::uint8_t> is_patrol;
+  // The edge the vehicle takes next: cold.route.peek(), cached once the
+  // engine's ensure_next_edge has resolved it (replanning included) so a
+  // lane's front vehicle decides its stop line without touching the cold
+  // record. Invalid ("unset") at spawn, after every route advance and on
+  // restore; when set it always equals cold.route.peek(). A pure memo, so
+  // it is not serialized.
+  std::vector<roadnet::EdgeId> next_edge;
 
   // ---- cold state, one record per slot -------------------------------------
   std::vector<VehicleCold> cold;
@@ -73,6 +83,7 @@ class VehicleStore {
     lane.push_back(0);
     lane_change_cooldown.push_back(0);
     is_patrol.push_back(0);
+    next_edge.emplace_back();
     cold.emplace_back();
     return slot;
   }
@@ -92,6 +103,7 @@ class VehicleStore {
     lane[slot] = 0;
     lane_change_cooldown[slot] = 0;
     is_patrol[slot] = 0;
+    next_edge[slot] = roadnet::EdgeId::invalid();
     cold[slot] = VehicleCold{};
   }
 
@@ -106,7 +118,7 @@ class VehicleStore {
     return position.size() == n && prev_position.size() == n && speed.size() == n &&
            length.size() == n && desired_speed_factor.size() == n &&
            edge.size() == n && lane.size() == n && lane_change_cooldown.size() == n &&
-           is_patrol.size() == n;
+           is_patrol.size() == n && next_edge.size() == n;
   }
 };
 

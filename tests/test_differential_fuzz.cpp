@@ -196,6 +196,24 @@ class SkipClassUpdateEngine final : public traffic::SimEngine {
   bool skipped_ = false;
 };
 
+// Forgets to unset the hot next-edge cache when admission advances a
+// route: the cache bug class the invariant (unset, or the route's next
+// edge) exists to rule out. The admitted vehicle's front decisions then
+// read the room of the edge it has just left.
+class StaleNextEdgeEngine final : public traffic::SimEngine {
+ public:
+  using SimEngine::SimEngine;
+
+ protected:
+  void process_transits() override {
+    const std::vector<roadnet::EdgeId> before = store_.next_edge;
+    SimEngine::process_transits();
+    for (std::size_t slot = 0; slot < before.size(); ++slot) {
+      if (store_.cold[slot].alive && before[slot].valid()) store_.next_edge[slot] = before[slot];
+    }
+  }
+};
+
 template <typename Engine>
 EngineFactory factory_for() {
   return [](const roadnet::RoadNetwork& net, traffic::SimConfig sim) {
@@ -283,6 +301,16 @@ TEST(DifferentialFuzz, EveryRegistryScenarioParallelMatchesSerial) {
     EXPECT_GT(diff->fast.steps, 0u) << entry.name;
   }
   EXPECT_FALSE(diff_named_scenario_threads("no-such-scenario", 4).has_value());
+}
+
+TEST(DifferentialFuzz, InjectedStaleNextEdgeIsCaught) {
+  const EngineFactory buggy = factory_for<StaleNextEdgeEngine>();
+  int caught = 0;
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t seed = bank_seed(kBankCampaignSeed, static_cast<std::uint64_t>(i));
+    if (!diff_case(seed, buggy).match) ++caught;
+  }
+  EXPECT_GT(caught, 0) << "stale next-edge cache survived 8 bank cases undetected";
 }
 
 }  // namespace

@@ -351,8 +351,9 @@ TEST(SnapshotFormat, TraceBytesArePinned) {
 
 constexpr std::size_t kHeaderBytes = 16;  // magic, version, endian mark, section count
 
-// Restores `bytes` into a fresh world and steps it 100 steps. Restore
-// treats the bytes as untrusted: it either refuses them with SnapshotError
+// Restores `bytes` into a fresh world and steps it 10 steps (every step
+// runs every phase over every vehicle). Restore treats the bytes as
+// untrusted: it either refuses them with SnapshotError
 // (returns true) or yields a world that steps without aborting. Any other
 // exception is a test failure.
 bool refused_or_runs(const experiment::ScenarioConfig& config,
@@ -364,7 +365,7 @@ bool refused_or_runs(const experiment::ScenarioConfig& config,
     } catch (const SnapshotError&) {
       return true;
     }
-    for (int i = 0; i < 100 && !world.done(); ++i) world.step();
+    for (int i = 0; i < 10 && !world.done(); ++i) world.step();
   } catch (const std::exception& e) {
     ADD_FAILURE() << "mutation at byte " << at << " threw " << e.what();
   }
@@ -407,6 +408,44 @@ TEST(SimWorldSnapshot, RoundtripReproducesUninterruptedRunBitExact) {
   const testing::DiffResult diff = testing::diff_config_snapshot(tiny_config(), 7);
   EXPECT_TRUE(diff.match) << diff.summary << "\n  divergence: " << diff.divergence;
   EXPECT_GT(diff.fast.steps, 7u);
+}
+
+std::size_t cached_next_edges(const SimWorld& world) {
+  const traffic::SimEngine& engine = world.engine();
+  std::size_t cached = 0;
+  for (const traffic::VehicleId id : engine.alive_vehicles()) {
+    if (engine.store().next_edge[id.slot()].valid()) ++cached;
+  }
+  return cached;
+}
+
+// The hot next-edge column is a memo, not state: restore leaves it unset.
+// Rewinding a world whose front vehicles have cached next edges since the
+// snapshot was taken must continue exactly as the uninterrupted run.
+TEST(SimWorldSnapshot, RestoreOverCachedNextEdgesContinuesBitExact) {
+  SimWorld original(tiny_config());
+  for (int i = 0; i < 7; ++i) original.step();
+  ASSERT_GT(cached_next_edges(original), 0u);
+  Snapshot at_cut;
+  original.save(at_cut);
+
+  SimWorld rewound(tiny_config(), SimWorld::Mode::Restore);
+  rewound.restore(at_cut);
+  EXPECT_EQ(cached_next_edges(rewound), 0u);
+  for (int i = 0; i < 40 && !rewound.done(); ++i) rewound.step();
+  ASSERT_GT(cached_next_edges(rewound), 0u);
+  rewound.restore(at_cut);
+  EXPECT_EQ(cached_next_edges(rewound), 0u);
+
+  for (int i = 0; i < 120 && !original.done(); ++i) {
+    original.step();
+    rewound.step();
+  }
+  Snapshot a;
+  Snapshot b;
+  original.save(a);
+  rewound.save(b);
+  EXPECT_EQ(a.to_bytes(), b.to_bytes());
 }
 
 // ---- traces -----------------------------------------------------------------
@@ -456,6 +495,21 @@ TEST(TraceReplay, RefusesThreadCountBeyondTheMachine) {
     }
     EXPECT_THROW((void)replay_trace(bytes), SnapshotError) << threads;
   }
+}
+
+// ivc_serve's --readers/--threads bounds share the trace's machine rule.
+// Small values only: the check must refuse before any thread starts, so
+// nothing here may ask for a real thread count.
+TEST(TraceReplay, ThreadFlagBoundsAreInclusive) {
+  EXPECT_EQ(thread_flag_error("--readers", 1, 1, 2), "");
+  EXPECT_EQ(thread_flag_error("--readers", 2, 1, 2), "");
+  EXPECT_NE(thread_flag_error("--readers", 3, 1, 2), "");
+  EXPECT_NE(thread_flag_error("--readers", 0, 1, 2), "");
+  EXPECT_NE(thread_flag_error("--readers", -1, 1, 2), "");
+  EXPECT_EQ(thread_flag_error("--threads", -1, -1, 2), "");
+  EXPECT_NE(thread_flag_error("--threads", -3, -1, 2), "");
+  EXPECT_NE(thread_flag_error("--threads", 3, -1, 2).find("--threads 3"), std::string::npos);
+  EXPECT_GE(max_threads(), 1);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "roadnet/builder.hpp"
@@ -383,6 +385,62 @@ TEST(Engine, FollowerBehindStuckLeaderHoldsAtStopLine) {
   EXPECT_TRUE(leader_stranded);
   EXPECT_GT(engine.vehicle(loser).position(), seg_len);
   EXPECT_GT(follower_peak, seg_len - 10.0);
+}
+
+// Exposes the dynamics phase's two stop-line decisions side by side.
+class RoomProbeEngine final : public SimEngine {
+ public:
+  using SimEngine::SimEngine;
+
+  // {per-edge room decision, lane-scan decision} against one entry-room
+  // snapshot of the current state.
+  std::pair<bool, bool> blocked(EdgeId next, double len) {
+    prepare_entry_space();
+    return {entry_blocked(next, len), snapshot_entry_lane(next, len) < 0};
+  }
+};
+
+// The kernel decides "next edge blocked" from a per-edge fold (+inf when
+// a lane is empty, else the largest rear space); the reference scans the
+// lanes. They must agree everywhere, the jam-gap boundary included: space
+// minus length exactly at kMinSeparation + 1.0 and one ulp either side.
+TEST(Engine, PerEdgeRoomDecisionMatchesLaneScan) {
+  roadnet::NetworkBuilder b;
+  roadnet::RoadSpec two;
+  two.lanes = 2;
+  const NodeId a = b.add_intersection({0, 0});
+  const NodeId c = b.add_intersection({200, 0});
+  const EdgeId ac = b.add_two_way(a, c, two);
+  const RoadNetwork net = b.build();
+  const EdgeId ca = net.segment(ac).reverse;
+  const double bound = kMinSeparation + 1.0;
+
+  for (const int roomy_lane : {0, 1}) {
+    RoomProbeEngine engine(net, SimConfig{});
+    EXPECT_EQ(engine.blocked(ac, 4.5), std::make_pair(false, false)) << "empty edge";
+
+    // The roomy lane's rearmost sedan leaves 1.75 m of entry space; with
+    // the other lane still empty the edge takes anything.
+    const VehicleId roomy =
+        engine.spawn_at(ac, roomy_lane, 6.25, sedan(), Route{{ca}, 0, false});
+    ASSERT_TRUE(roomy.valid());
+    const double space = engine.vehicle(roomy).position() - engine.vehicle(roomy).length();
+    ASSERT_EQ(space, 1.75);
+    EXPECT_EQ(engine.blocked(ac, 1.0), std::make_pair(false, false)) << "one lane empty";
+
+    // Fill the other lane with less room (1.25 m): now only the roomy
+    // lane's space decides.
+    ASSERT_TRUE(
+        engine.spawn_at(ac, 1 - roomy_lane, 5.75, sedan(), Route{{ca}, 0, false}).valid());
+    for (const double d : {std::nextafter(bound, 0.0), bound, std::nextafter(bound, 2.0)}) {
+      // space, d in [1, 2): space - d is exact (Sterbenz), so space - len == d.
+      const double len = space - d;
+      ASSERT_EQ(space - len, d);
+      const bool expect_blocked = d < bound;
+      EXPECT_EQ(engine.blocked(ac, len), std::make_pair(expect_blocked, expect_blocked))
+          << "roomy lane " << roomy_lane << ", space - len = " << d;
+    }
+  }
 }
 
 TEST(Engine, RunForAdvancesClock) {
