@@ -145,7 +145,7 @@ constexpr const char* kDefaultPerfScenarios =
 
 struct PerfRun {
   const experiment::NamedScenario* entry = nullptr;
-  int threads = 1;  // engine worker count for this run (0 = all cores)
+  int threads = 1;  // SimConfig::threads for this run (0 = all cores)
   experiment::RunMetrics metrics;
   ivc::util::PerfCollector collector;
 };
@@ -225,10 +225,9 @@ void write_perf_json(std::ostream& out, const std::vector<PerfRun>& runs, bool s
     for (std::size_t p = 0; p < phases.size(); ++p) {
       const auto phase = static_cast<util::PerfPhase>(p);
       // "seconds" = the phase's wall clock as the step loop sees it;
-      // "cpu_seconds" = thread-CPU time across every thread that worked
-      // on the phase (caller + parked workers); "busy_seconds" = the
-      // cumulative wall time of sharded executions (0.0 for phases that
-      // only ever ran serially).
+      // "cpu_seconds" = the stepping thread's CPU time over the phase;
+      // "busy_seconds" = the cumulative wall time of sharded executions,
+      // kept in the schema and always 0.0 since a world steps serially.
       out << util::format("        {\"phase\": \"%s\", \"calls\": %llu, "
                           "\"seconds\": %.6f, \"cpu_seconds\": %.6f, "
                           "\"busy_seconds\": %.6f}%s\n",
@@ -377,9 +376,9 @@ int main(int argc, char** argv) {
   cli.add_string("perf-scenarios", &perf_scenarios,
                  "perf mode: comma-separated scenario names (>= 3)");
   cli.add_string("perf-threads", &perf_threads,
-                 "perf mode: engine worker counts to run each scenario at, "
-                 "e.g. 1,4 (every count must reproduce identical step/event "
-                 "totals — determinism is part of what the bench checks)");
+                 "perf mode: SimConfig::threads values to run each scenario at, "
+                 "e.g. 1,4 (a world steps serially at every value; every row "
+                 "must reproduce identical step/event totals)");
   cli.add_string("volumes", &volumes_csv, "override volume grid, e.g. 25,50,100");
   cli.add_string("seeds", &seeds_csv, "override seed-count grid, e.g. 1,2,4");
   cli.add_string("out", &out_path, "append machine-readable CSV to this file");

@@ -13,8 +13,6 @@
 //   ivc_fuzz --scenario highway-open-steady # diff-check a registry entry
 //   ivc_fuzz --all-scenarios                # diff-check the whole registry
 //   ivc_fuzz --repro-out repros.txt         # minimal repro seeds -> file
-//   ivc_fuzz --cases 120 --threads 4        # force the fast engine to 4 workers
-//   ivc_fuzz --cases 120 --parallel-diff    # fast@threads vs fast@serial (no kernel)
 //   ivc_fuzz --cases 120 --snapshot-at -1   # save/restore roundtrip at a derived step
 //   ivc_fuzz --replay SEED --snapshot-at 50 # roundtrip one case, cut at step 50
 #include <chrono>
@@ -50,8 +48,8 @@ void print_failure(const testing::DiffResult& diff) {
 
 // Shrink a diverging case and report/record the minimal reproducer.
 // Returns the seed to persist (the shrunk one when shrinking succeeded).
-std::uint64_t shrink_and_report(std::uint64_t case_seed, int fast_threads) {
-  const auto shrunk = testing::shrink_case(case_seed, {}, fast_threads);
+std::uint64_t shrink_and_report(std::uint64_t case_seed) {
+  const auto shrunk = testing::shrink_case(case_seed);
   if (!shrunk) return case_seed;  // flaky? keep the original seed
   std::string trail = "none";
   if (!shrunk->trail.empty()) {
@@ -75,13 +73,11 @@ int main(int argc, char** argv) {
   std::int64_t cases = 100;
   std::int64_t seed = 1;
   std::int64_t max_failures = 5;
-  std::int64_t threads = -1;
   std::int64_t snapshot_at = 0;
   std::string replay;
   std::string scenario;
   std::string repro_out;
   bool all_scenarios = false;
-  bool parallel_diff = false;
   bool verbose = false;
 
   util::Cli cli("ivc_fuzz",
@@ -89,9 +85,6 @@ int main(int argc, char** argv) {
   cli.add_int("cases", &cases, "number of randomized cases to run");
   cli.add_int("seed", &seed, "campaign seed (case seeds derive from it)");
   cli.add_int("max-failures", &max_failures, "stop the campaign after this many failures");
-  cli.add_int("threads", &threads,
-              "force the fast engine's worker count (0 = all cores; default: the "
-              "thread count each case derives from its seed)");
   cli.add_int("snapshot-at", &snapshot_at,
               "snapshot-roundtrip mode: save at this step, restore into a fresh "
               "engine, diff against the uninterrupted run (-1 = derive the cut "
@@ -99,22 +92,13 @@ int main(int argc, char** argv) {
   cli.add_string("replay", &replay, "replay one case seed (0x-hex or decimal) and exit");
   cli.add_string("scenario", &scenario, "diff-check a named registry scenario (smoke scale)");
   cli.add_flag("all-scenarios", &all_scenarios, "diff-check every registry scenario");
-  cli.add_flag("parallel-diff", &parallel_diff,
-               "diff the fast engine at --threads (default: all cores) against the "
-               "same engine at threads=1, instead of against the reference kernel");
   cli.add_string("repro-out", &repro_out, "append minimal repro seeds to this file");
   cli.add_flag("verbose", &verbose, "print every case, not just failures");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
-  const int fast_threads = static_cast<int>(threads);
-  // Parallel-vs-serial mode needs a concrete count for the threaded side.
-  const int parallel_threads = threads >= 0 ? fast_threads : 0;
   const auto diff_one = [&](std::uint64_t case_seed) {
-    if (snapshot_at != 0) {
-      return testing::diff_case_snapshot(case_seed, snapshot_at, {}, fast_threads);
-    }
-    return parallel_diff ? testing::diff_case_threads(case_seed, parallel_threads)
-                         : testing::diff_case(case_seed, {}, fast_threads);
+    return snapshot_at != 0 ? testing::diff_case_snapshot(case_seed, snapshot_at)
+                            : testing::diff_case(case_seed);
   };
 
   std::ofstream repro_file;
@@ -159,10 +143,9 @@ int main(int argc, char** argv) {
   if (!scenario.empty() || all_scenarios) {
     int failures = 0;
     const auto check = [&](const std::string& name) {
-      const auto diff =
-          snapshot_at != 0 ? testing::diff_named_scenario_snapshot(name, snapshot_at)
-          : parallel_diff  ? testing::diff_named_scenario_threads(name, parallel_threads)
-                           : testing::diff_named_scenario(name);
+      const auto diff = snapshot_at != 0
+                            ? testing::diff_named_scenario_snapshot(name, snapshot_at)
+                            : testing::diff_named_scenario(name);
       if (!diff) {
         std::fprintf(stderr, "unknown scenario: %s\n", name.c_str());
         ++failures;
@@ -196,10 +179,10 @@ int main(int argc, char** argv) {
     ++ran;
     if (diff.match) {
       if (verbose) std::printf("ok   %s\n", diff.summary.c_str());
-    } else if (parallel_diff || snapshot_at != 0) {
-      // No kernel in these modes; the failing seed itself is the repro
-      // (shrinking against the serial reference could lose a
-      // thread-count- or cut-point-sensitive divergence).
+    } else if (snapshot_at != 0) {
+      // No kernel in this mode; the failing seed itself is the repro
+      // (shrinking re-runs the fast-vs-reference diff, which cannot see a
+      // cut-point-sensitive divergence).
       print_failure(diff);
       record_repro(case_seed, diff.summary);
       if (++failures >= max_failures) {
@@ -208,7 +191,7 @@ int main(int argc, char** argv) {
       }
     } else {
       print_failure(diff);
-      const std::uint64_t repro = shrink_and_report(case_seed, fast_threads);
+      const std::uint64_t repro = shrink_and_report(case_seed);
       record_repro(repro, testing::make_fuzz_case(repro).summary);
       if (++failures >= max_failures) {
         std::printf("stopping after %d failures\n", failures);

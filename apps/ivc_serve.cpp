@@ -109,8 +109,9 @@ int main(int argc, char** argv) {
   cli.add_int("readers", &readers, "concurrent query threads (1 .. hardware concurrency)");
   cli.add_int("min-queries", &min_queries, "minimum queries per reader thread");
   cli.add_int("threads", &threads,
-              "engine worker count, up to hardware concurrency (-1: scenario default, "
-              "0: all cores)");
+              "engine threads recorded in the config and trace, up to hardware "
+              "concurrency (-1: scenario default, 0: all cores); the world steps "
+              "serially at every value");
   cli.add_string("record-trace", &record_trace_path,
                  "run the scenario and write a replayable input trace to this file");
   cli.add_string("replay-trace", &replay_trace_path,
@@ -121,8 +122,8 @@ int main(int argc, char** argv) {
               "roundtrip cut step (-1: derive from the scenario seed)");
   cli.add_flag("list", &list, "list the scenario registry and exit");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
-  // Both flags size thread teams: refuse a count this machine cannot run
-  // (or a negative one) here, before any thread is started.
+  // Refuse a count this machine cannot run (or a negative one) here, before
+  // any reader thread is started; --threads shares the trace's bounds.
   for (const std::string& error :
        {serve::thread_flag_error("--readers", readers, 1, serve::max_threads()),
         serve::thread_flag_error("--threads", threads, -1, serve::max_threads())}) {

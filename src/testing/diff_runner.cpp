@@ -294,65 +294,30 @@ RunDigest run_digest_fast(const experiment::ScenarioConfig& config,
 }
 
 RunDigest run_digest_reference(const experiment::ScenarioConfig& config) {
-  // Belt and braces: the kernel's constructor forces serial too.
-  experiment::ScenarioConfig serial = config;
-  serial.sim.threads = 1;
-  return run_digest(serial, {}, /*reference=*/true);
+  return run_digest(config, {}, /*reference=*/true);
 }
 
 DiffResult diff_config(const experiment::ScenarioConfig& config,
-                       const EngineFactory& fast_factory, int fast_threads) {
-  experiment::ScenarioConfig fast_config = config;
-  if (fast_threads >= 0) fast_config.sim.threads = fast_threads;
+                       const EngineFactory& fast_factory) {
   DiffResult result;
   result.summary = config.describe();
-  result.fast = run_digest_fast(fast_config, fast_factory);
+  result.fast = run_digest_fast(config, fast_factory);
   result.reference = run_digest_reference(config);
   result.divergence = compare(result.fast, result.reference);
   result.match = result.divergence.empty();
   return result;
 }
 
-DiffResult diff_case(std::uint64_t case_seed, const EngineFactory& fast_factory,
-                     int fast_threads) {
+DiffResult diff_case(std::uint64_t case_seed, const EngineFactory& fast_factory) {
   const FuzzCase fc = make_fuzz_case(case_seed);
-  DiffResult result = diff_config(fc.config, fast_factory, fast_threads);
+  DiffResult result = diff_config(fc.config, fast_factory);
   result.case_seed = case_seed;
   result.summary = fc.summary;
   return result;
 }
 
-DiffResult diff_config_threads(const experiment::ScenarioConfig& config, int threads,
-                               const EngineFactory& fast_factory) {
-  experiment::ScenarioConfig threaded = config;
-  threaded.sim.threads = threads;
-  experiment::ScenarioConfig serial = config;
-  serial.sim.threads = 1;
-  DiffResult result;
-  result.summary =
-      util::format("%s [threads=%d vs serial]", config.describe().c_str(), threads);
-  result.fast = run_digest_fast(threaded, fast_factory);
-  result.reference = run_digest_fast(serial, fast_factory);
-  result.divergence = compare(result.fast, result.reference);
-  result.match = result.divergence.empty();
-  return result;
-}
-
-DiffResult diff_case_threads(std::uint64_t case_seed, int threads,
-                             const EngineFactory& fast_factory) {
-  const FuzzCase fc = make_fuzz_case(case_seed);
-  DiffResult result = diff_config_threads(fc.config, threads, fast_factory);
-  result.case_seed = case_seed;
-  result.summary = util::format("%s [threads=%d vs serial]", fc.summary.c_str(), threads);
-  return result;
-}
-
 DiffResult diff_config_snapshot(const experiment::ScenarioConfig& config,
-                                std::int64_t snapshot_at, const EngineFactory& fast_factory,
-                                int threads) {
-  experiment::ScenarioConfig run_config = config;
-  if (threads >= 0) run_config.sim.threads = threads;
-
+                                std::int64_t snapshot_at, const EngineFactory& fast_factory) {
   std::uint64_t cut = 0;
   if (snapshot_at > 0) {
     cut = static_cast<std::uint64_t>(snapshot_at);
@@ -368,17 +333,17 @@ DiffResult diff_config_snapshot(const experiment::ScenarioConfig& config,
   DiffResult result;
   result.summary = util::format("%s [snapshot@%llu roundtrip]", config.describe().c_str(),
                                 static_cast<unsigned long long>(cut));
-  result.fast = run_digest_roundtrip(run_config, fast_factory, cut);
-  result.reference = run_digest_fast(run_config, fast_factory);
+  result.fast = run_digest_roundtrip(config, fast_factory, cut);
+  result.reference = run_digest_fast(config, fast_factory);
   result.divergence = compare(result.fast, result.reference);
   result.match = result.divergence.empty();
   return result;
 }
 
 DiffResult diff_case_snapshot(std::uint64_t case_seed, std::int64_t snapshot_at,
-                              const EngineFactory& fast_factory, int threads) {
+                              const EngineFactory& fast_factory) {
   const FuzzCase fc = make_fuzz_case(case_seed);
-  DiffResult result = diff_config_snapshot(fc.config, snapshot_at, fast_factory, threads);
+  DiffResult result = diff_config_snapshot(fc.config, snapshot_at, fast_factory);
   result.case_seed = case_seed;
   result.summary = util::format("%s [snapshot roundtrip]", fc.summary.c_str());
   return result;
@@ -404,28 +369,17 @@ std::optional<DiffResult> diff_named_scenario(std::string_view name) {
   return result;
 }
 
-std::optional<DiffResult> diff_named_scenario_threads(std::string_view name, int threads) {
-  const experiment::NamedScenario* scenario =
-      experiment::ScenarioRegistry::builtin().find(name);
-  if (scenario == nullptr) return std::nullopt;
-  DiffResult result =
-      diff_config_threads(scenario->make(experiment::ScenarioScale::Smoke), threads);
-  result.summary = scenario->name + ": " + result.summary;
-  return result;
-}
-
 std::optional<ShrinkResult> shrink_case(std::uint64_t failing_seed,
-                                        const EngineFactory& fast_factory,
-                                        int fast_threads) {
+                                        const EngineFactory& fast_factory) {
   ShrinkResult out;
-  DiffResult current = diff_case(failing_seed, fast_factory, fast_threads);
+  DiffResult current = diff_case(failing_seed, fast_factory);
   ++out.attempts;
   if (current.match) return std::nullopt;
 
   ShrinkSpec spec = unpack_shrink(failing_seed);
   const auto try_spec = [&](const ShrinkSpec& candidate, const char* what) {
     const std::uint64_t seed = with_shrink(failing_seed, candidate);
-    DiffResult attempt = diff_case(seed, fast_factory, fast_threads);
+    DiffResult attempt = diff_case(seed, fast_factory);
     ++out.attempts;
     if (!attempt.match) {
       spec = candidate;

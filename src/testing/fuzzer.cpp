@@ -185,10 +185,10 @@ FuzzCase make_fuzz_case(std::uint64_t case_seed) {
   for (int i = 0; i < fc.shrink.length_halvings; ++i) c.time_limit_minutes /= 2.0;
   c.time_limit_minutes = std::max(2.0, c.time_limit_minutes);
 
-  // Engine thread count: serial, two workers, or hardware concurrency
-  // (0). The nightly campaign thereby sweeps scheduling diversity for
-  // free; the engine's contract is that this knob cannot change a single
-  // digest bit, and every case checks it against the serial reference.
+  // Engine thread count: 1, 2 or hardware concurrency (0). Worlds step
+  // serially at every value, but the draw stays: it is part of every case
+  // seed's derivation, so dropping it would move every generated case,
+  // summary and pinned fuzz trace.
   switch (rng.uniform_index(3)) {
     case 0: c.sim.threads = 1; break;
     case 1: c.sim.threads = 2; break;

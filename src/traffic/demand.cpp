@@ -160,9 +160,8 @@ void DemandModel::update() {
 
 Route DemandModel::plan_continuation(VehicleId vehicle, roadnet::NodeId node) {
   // Key the whole query to one draw from the vehicle's counter-based
-  // stream: the engine calls this from inside the (possibly sharded)
-  // dynamics phase, and the route a vehicle gets must not depend on which
-  // other vehicle replanned first.
+  // stream: the route a vehicle gets must not depend on which other
+  // vehicle replanned first.
   util::StreamRng rng(util::derive_seed(replan_seed_, engine_.draw_for(vehicle)));
   if (!exit_nodes_.empty() && rng.bernoulli(config_.exit_probability)) {
     Route route = exit_route(node, rng);

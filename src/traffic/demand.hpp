@@ -54,11 +54,11 @@ class DemandModel {
   // Per-step arrivals; no-op for closed networks. Call before engine.step().
   void update();
 
-  // Route continuation used as the engine's RoutePlanner. Thread-safe and
-  // schedule-independent: every draw (exit choice, destination, routing
-  // jitter) comes from a stream keyed by the asking vehicle's own
-  // counter-based draw, so replans issued concurrently from the engine's
-  // dynamics shards neither race nor depend on planning order.
+  // Route continuation used as the engine's RoutePlanner. Order-
+  // independent: every draw (exit choice, destination, routing jitter)
+  // comes from a stream keyed by the asking vehicle's own counter-based
+  // draw, so a vehicle's route does not depend on which other vehicle
+  // replanned before it.
   [[nodiscard]] Route plan_continuation(VehicleId vehicle, roadnet::NodeId node);
 
   // Sample exterior attributes from the fleet mix (never a police car).

@@ -96,18 +96,13 @@ class EventBuffer {
   [[nodiscard]] const std::vector<SimEvent>& events() const { return events_; }
 
   // Append all of `src`'s events (preserving their order) and clear it.
-  // The parallel engine merges per-shard buffers into the step buffer in
-  // canonical shard order with this: because shards cover contiguous
-  // ranges of the sorted worklist, concatenation in shard order IS the
+  // Buffers filled over contiguous ranges of the sorted worklist (see
+  // traffic/sharding.hpp) and spliced in range order give exactly the
   // serial generation order.
   void splice(EventBuffer& src) {
     events_.insert(events_.end(), src.events_.begin(), src.events_.end());
     src.events_.clear();
   }
-
-  // Drop buffered events without delivering them (shard-context hygiene
-  // after an aborted phase).
-  void clear() { events_.clear(); }
 
   void flush(const std::vector<SimObserver*>& observers) {
     // Index loop: stays valid even if a (misbehaving) observer appends.

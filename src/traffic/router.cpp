@@ -58,10 +58,10 @@ std::vector<roadnet::EdgeId> Router::plan(roadnet::NodeId from, roadnet::NodeId 
   IVC_ASSERT(from.valid() && to.valid());
   if (from == to) return {};
   const std::size_t n = net_.num_intersections();
-  // Per-thread scratch: plan() is called concurrently from the engine's
-  // dynamics shards (route replanning at the stop line), and these arrays
-  // are pure workspace — sharing them per thread instead of per Router
-  // keeps the hot path allocation-free without any locking.
+  // Per-thread scratch: plan() is const and may run on any thread (sweep
+  // replicas plan on pool threads), and these arrays are pure workspace —
+  // sharing them per thread instead of per Router keeps the hot path
+  // allocation-free without any locking.
   static thread_local std::vector<double> dist_scratch;
   static thread_local std::vector<roadnet::EdgeId> parent_scratch;
   // The scratch outlives any single Router (thread_local): the same pool

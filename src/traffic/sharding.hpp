@@ -1,12 +1,14 @@
-// Worklist sharding for the engine's parallel step phases.
+// Worklist sharding: segment-aligned, contiguous partitions of a sorted
+// lane worklist. SimEngine steps every world serially and does not call
+// these; they stay as tested building blocks for a partitioned pass.
 //
 // A shard is a contiguous range of a phase's (sorted) worklist snapshot.
-// Contiguity is what makes the parallel engine's output canonical: shard
+// Contiguity is what makes a partitioned pass's output canonical: shard
 // s covers worklist entries [begin, end), so concatenating per-shard
 // results in shard order reproduces exactly the ascending-order walk the
 // serial engine performs — the merge is a concatenation, not a sort.
 //
-// The lane-change phase additionally requires shard boundaries to be
+// A lane-change pass additionally requires shard boundaries to be
 // *segment-aligned*: a lane change moves a vehicle between lanes of the
 // same segment, so as long as all of a segment's occupied lanes land in
 // one shard, the phase is free of cross-shard reads and writes and the

@@ -46,8 +46,6 @@ inline void step_follower(double* pos, double* spd, const double* len, const dou
 }
 }  // namespace
 
-thread_local SimEngine::ShardContext* SimEngine::tls_shard_ = nullptr;
-
 SimEngine::SimEngine(const roadnet::RoadNetwork& net, SimConfig config)
     : net_(net),
       config_(config),
@@ -68,14 +66,6 @@ SimEngine::SimEngine(const roadnet::RoadNetwork& net, SimConfig config)
   edge_room_.assign(net_.num_segments(), 0.0);
   node_candidates_.resize(net_.num_intersections());
   class_population_.assign(kAttrClasses, 0);
-
-  std::size_t team = config_.threads == 0
-                         ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-                         : static_cast<std::size_t>(config_.threads);
-  if (team > 1) {
-    pool_ = std::make_unique<util::ForkJoinPool>(team);
-    shards_.resize(pool_->size());
-  }
 }
 
 void SimEngine::add_observer(SimObserver* observer) {
@@ -125,13 +115,6 @@ double SimEngine::mean_speed() const {
 }
 
 void SimEngine::mark_lane_occupied(std::size_t index) {
-  // Sharded lane changes log the transition instead of touching the global
-  // worklist; the step driver applies the logs serially in shard order —
-  // the same order the inline updates would have happened in.
-  if (ShardContext* shard = tls_shard_) {
-    shard->occupancy_log.emplace_back(static_cast<std::uint32_t>(index), true);
-    return;
-  }
   const auto value = static_cast<std::uint32_t>(index);
   const auto it = std::lower_bound(occupied_lanes_.begin(), occupied_lanes_.end(), value);
   occupied_lanes_.insert(it, value);
@@ -139,10 +122,6 @@ void SimEngine::mark_lane_occupied(std::size_t index) {
 }
 
 void SimEngine::mark_lane_empty(std::size_t index) {
-  if (ShardContext* shard = tls_shard_) {
-    shard->occupancy_log.emplace_back(static_cast<std::uint32_t>(index), false);
-    return;
-  }
   const auto value = static_cast<std::uint32_t>(index);
   const auto it = std::lower_bound(occupied_lanes_.begin(), occupied_lanes_.end(), value);
   IVC_ASSERT(it != occupied_lanes_.end() && *it == value);
@@ -163,38 +142,6 @@ bool SimEngine::debug_occupancy_consistent() const {
     if (n != edge_count_[seg.id.value()]) return false;
   }
   return true;
-}
-
-std::size_t SimEngine::debug_shared_hot_lines() const {
-  const std::size_t nshards = shard_count(occupied_lanes_.size());
-  if (nshards <= 1) return 0;
-  std::vector<ShardRange> ranges;
-  shard_lanes(occupied_lanes_, nshards, &ranges);
-  const auto line_of = [this](std::uint32_t slot) {
-    constexpr std::uintptr_t kCacheLine = 64;
-    return reinterpret_cast<std::uintptr_t>(&store_.position[slot]) / kCacheLine;
-  };
-  const std::uintptr_t first_line = line_of(0);
-  // Per line of the column: the first shard seen on it, kShared once another follows.
-  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-  constexpr std::uint32_t kShared = kNone - 1;
-  std::vector<std::uint32_t> line_shard(
-      line_of(static_cast<std::uint32_t>(store_.slot_count() - 1)) - first_line + 1, kNone);
-  std::size_t shared = 0;
-  for (std::uint32_t s = 0; s < ranges.size(); ++s) {
-    for (std::size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
-      for (const VehicleId id : lanes_[occupied_lanes_[i]]) {
-        std::uint32_t& seen = line_shard[line_of(id.slot()) - first_line];
-        if (seen == kNone) {
-          seen = s;
-        } else if (seen != s && seen != kShared) {
-          seen = kShared;
-          ++shared;
-        }
-      }
-    }
-  }
-  return shared;
 }
 
 void SimEngine::remove_from_lane(VehicleId id) {
@@ -276,9 +223,8 @@ VehicleId SimEngine::spawn_at(roadnet::EdgeId edge, int lane, double position,
   cold.alive = true;
   cold.route = std::move(route);
   cold.entry_seq = ++entry_seq_counter_;
-  // Counter-based stream: the generational id is assigned by the serial
-  // spawn/admission machinery, so the key — and with it every draw the
-  // vehicle will ever make — is identical across thread counts.
+  // Counter-based stream keyed by the generational id, so every draw the
+  // vehicle will ever make depends only on its own history.
   cold.rng_key = util::derive_seed(vehicle_stream_seed_, id.value());
   cold.rng_draws = 0;
   store_.is_patrol[slot] = is_patrol ? 1 : 0;
@@ -355,9 +301,8 @@ roadnet::EdgeId SimEngine::ensure_next_edge(std::uint32_t slot, roadnet::NodeId 
     if (!next.valid()) {
       // Fallback: roam onto a uniformly random out-edge so traffic never
       // stalls even without a planner (unit-test configurations). Drawn
-      // from the vehicle's own counter-based stream — this runs inside the
-      // (possibly sharded) dynamics phase, where a shared sequential
-      // generator would make the pick depend on which lane drew first.
+      // from the vehicle's own counter-based stream, so the pick does not
+      // depend on which lane's front vehicle drew first.
       const auto& out = net_.intersection(node).out_edges;
       IVC_ASSERT_MSG(!out.empty(), "dead-end node reached");
       util::StreamRng stream(cold.rng_key, cold.rng_draws);
@@ -373,100 +318,13 @@ roadnet::EdgeId SimEngine::ensure_next_edge(std::uint32_t slot, roadnet::NodeId 
   return next;
 }
 
-std::size_t SimEngine::shard_count(std::size_t items) const {
-  if (pool_ == nullptr) return 1;
-  // Grain keeps tiny worklists serial: below ~one cache line of lane
-  // indices per worker the fork-join overhead outweighs the phase.
-  constexpr std::size_t kGrain = 16;
-  const std::size_t by_grain = items / kGrain;
-  if (by_grain <= 1) return 1;
-  return std::min(by_grain, pool_->size());
-}
-
-void SimEngine::shard_lanes(const std::vector<std::uint32_t>& lanes, std::size_t shards,
-                            std::vector<ShardRange>* out) const {
-  shard_worklist(
-      lanes, shards, [this](std::uint32_t lane) { return lane_refs_[lane].edge.value(); },
-      out);
-}
-
-void SimEngine::run_sharded(util::PerfPhase phase,
-                            const std::function<void(ShardContext&)>& body) {
-  const std::size_t active = shard_ranges_.size();
-  const bool timed = perf_ != nullptr;
-  // The thread-CPU probe is a syscall per worker: read it only on the
-  // calls the phase's own PerfTimer samples; the collector extrapolates
-  // the parked workers' CPU over the rest. The steady clock stays per call.
-  const bool sample_cpu = timed && perf_->should_sample_cpu(phase);
-  pool_->run([&](std::size_t worker) {
-    if (worker >= active) return;
-    ShardContext& ctx = shards_[worker];
-    ctx.reset();
-    ctx.range = shard_ranges_[worker];
-    // Scope guard, not a trailing assignment: if the body throws (a
-    // route-planner callback can), the worker — possibly the caller
-    // thread itself — must not keep routing serial-path events into a
-    // shard buffer after the fork-join rethrows.
-    struct TlsGuard {
-      ~TlsGuard() { tls_shard_ = nullptr; }
-    } guard;
-    tls_shard_ = &ctx;
-    if (timed) {
-      std::optional<util::ThreadCpuProbe> cpu_probe;
-      if (sample_cpu) cpu_probe.emplace();
-      const std::uint64_t start = util::steady_now_nanos();
-      body(ctx);
-      ctx.busy_nanos = util::steady_now_nanos() - start;
-      if (cpu_probe) ctx.busy_cpu_nanos = cpu_probe->elapsed_nanos();
-    } else {
-      body(ctx);
-    }
-  });
-  if (timed) {
-    std::uint64_t busy = 0;
-    std::uint64_t busy_cpu = 0;
-    // Worker 0 is the calling thread: its busy CPU time is already inside
-    // the phase-level PerfTimer's thread-CPU measurement, so only the
-    // parked workers' time is added here — the collector's cpu total then
-    // counts every nanosecond exactly once.
-    for (std::size_t s = 0; s < active; ++s) busy += shards_[s].busy_nanos;
-    for (std::size_t s = 1; s < active; ++s) busy_cpu += shards_[s].busy_cpu_nanos;
-    perf_->add_parallel(phase, busy, busy_cpu, sample_cpu);
-  }
-}
-
 void SimEngine::apply_lane_changes() {
   if (!config_.allow_lane_change) return;
   // Snapshot the worklist: a move into a previously-empty lane must not
   // grow the iteration space mid-phase (the mover is cooldown-gated, so
   // skipping its new lane is equivalent to the full scan visiting it).
   scratch_lanes_.assign(occupied_lanes_.begin(), occupied_lanes_.end());
-  const std::size_t nshards = shard_count(scratch_lanes_.size());
-  if (nshards <= 1) {
-    for (const std::uint32_t index : scratch_lanes_) lane_change_pass(index);
-    return;
-  }
-  // Segment-aligned shards: a lane change never leaves its segment, so no
-  // two shards touch the same lane list or edge counter and the live-state
-  // algorithm runs unchanged. The one global structure — the occupancy
-  // worklist — is not read by this phase (it walks the snapshot), so its
-  // transitions are logged per shard and applied below in shard order,
-  // which is exactly the order the serial walk would have applied them.
-  shard_lanes(scratch_lanes_, nshards, &shard_ranges_);
-  run_sharded(util::PerfPhase::LaneChange, [this](ShardContext& ctx) {
-    for (std::size_t i = ctx.range.begin; i < ctx.range.end; ++i) {
-      lane_change_pass(scratch_lanes_[i]);
-    }
-  });
-  for (std::size_t s = 0; s < shard_ranges_.size(); ++s) {
-    for (const auto& [lane, occupied] : shards_[s].occupancy_log) {
-      if (occupied) {
-        mark_lane_occupied(lane);
-      } else {
-        mark_lane_empty(lane);
-      }
-    }
-  }
+  for (const std::uint32_t index : scratch_lanes_) lane_change_pass(index);
 }
 
 void SimEngine::lane_change_pass(std::uint32_t index) {
@@ -598,18 +456,6 @@ int SimEngine::snapshot_entry_lane(roadnet::EdgeId edge, double len) const {
 
 void SimEngine::update_dynamics() {
   prepare_entry_space();
-  const std::size_t nshards = shard_count(occupied_lanes_.size());
-  if (nshards > 1) {
-    // Dynamics never changes lane membership and every cross-lane read
-    // goes through the entry-space snapshot, so shards share no mutable
-    // state whatever the boundaries; the aligned partitioner is reused for
-    // a single code path.
-    shard_lanes(occupied_lanes_, nshards, &shard_ranges_);
-    run_sharded(util::PerfPhase::Dynamics, [this](ShardContext& ctx) {
-      dynamics_lanes(occupied_lanes_.data() + ctx.range.begin, ctx.range.end - ctx.range.begin);
-    });
-    return;
-  }
   dynamics_lanes(occupied_lanes_.data(), occupied_lanes_.size());
 }
 
@@ -733,8 +579,8 @@ void SimEngine::dynamics_pass(std::uint32_t index) {
       // An empty next edge always has room (the entry pick would return
       // lane 0), so the lane scan is only needed when it is occupied.
       // Room is read from the pre-dynamics entry-space snapshot: the next
-      // edge's lanes may belong to another shard (or merely come later in
-      // the serial scan), and this decision must not depend on either.
+      // edge's lanes may come earlier or later in the scan, and this
+      // decision must not depend on which.
       const roadnet::EdgeId next = ensure_next_edge(slot, seg.to);
       if (edge_count_[next.value()] != 0 && snapshot_entry_lane(next, len[slot]) < 0) {
         gap = (seg.length - kStopMargin) - pos[slot];
@@ -800,28 +646,10 @@ void SimEngine::overtake_scan(VehicleId wid) {
 }
 
 void SimEngine::detect_overtakes() {
-  if (watched_.empty()) return;
   // watched_ is sorted by id, so the event order here is identical on every
   // platform — part of the bit-exact contract (an unordered_set would order
   // these by hash-table layout).
-  const std::size_t nshards = shard_count(watched_.size());
-  if (nshards <= 1) {
-    for (const VehicleId wid : watched_) overtake_scan(wid);
-    return;
-  }
-  // Read-only over vehicle state; each shard's overtake events go to its
-  // own buffer and are spliced back in shard order — contiguous chunks of
-  // a sorted list, so the merged stream is the serial watched-id order.
-  shard_even(watched_.size(), nshards, &shard_ranges_);
-  run_sharded(util::PerfPhase::Overtakes, [this](ShardContext& ctx) {
-    for (std::size_t i = ctx.range.begin; i < ctx.range.end; ++i) {
-      overtake_scan(watched_[i]);
-    }
-  });
-  for (std::size_t s = 0; s < shard_ranges_.size(); ++s) {
-    events_emitted_ += shards_[s].events_emitted;
-    events_.splice(shards_[s].events);
-  }
+  for (const VehicleId wid : watched_) overtake_scan(wid);
 }
 
 void SimEngine::process_transits() {
@@ -829,14 +657,10 @@ void SimEngine::process_transits() {
   // Ascending lane-index order keeps despawn events in the segment-major
   // order the full scan emitted.
   scratch_lanes_.assign(occupied_lanes_.begin(), occupied_lanes_.end());
-  // Serial by design: the scan is one position load per lane, cheaper than
-  // a fork-join, and despawn events must follow lane order anyway.
   for (const std::uint32_t index : scratch_lanes_) collect_transit_candidates(index);
 
   // Only intersections that actually received a candidate, in node-id
   // order (matching the old every-intersection sweep, minus the no-ops).
-  // Admission is serial by design: it is O(active nodes), mutates lane
-  // membership across arbitrary segments, and assigns entry_seq numbers.
   std::sort(active_nodes_.begin(), active_nodes_.end());
   for (const roadnet::NodeId node_id : active_nodes_) admit_at_node(node_id);
   active_nodes_.clear();
@@ -925,9 +749,6 @@ void SimEngine::admit_at_node(roadnet::NodeId node_id) {
 void SimEngine::despawn(std::uint32_t slot, roadnet::EdgeId edge) {
   VehicleCold& cold = store_.cold[slot];
   IVC_ASSERT(cold.alive);
-  // Despawns mutate the alive index, watched list and free list — global
-  // structures the shards never touch; this must only run serially.
-  IVC_ASSERT(tls_shard_ == nullptr);
   remove_from_lane(cold.id);
   cold.alive = false;
   if (store_.is_patrol[slot] == 0 && !net_.segment(store_.edge[slot]).is_gateway()) {

@@ -9,29 +9,17 @@
 // overtakes, spawns/despawns).
 //
 // Determinism: given a seed and a fixed observer set, runs are bit-exact
-// across platforms, standard libraries AND thread counts. All iteration is
-// in index or sorted order (no unordered containers on any event-generating
-// path); events are delivered from a per-step buffer in generation order;
-// every random draw a worker thread can reach comes from a counter-based
-// per-vehicle stream (util::counter_mix), so a draw's value depends only on
-// the drawing vehicle's own history, never on who drew before it. This is
-// what makes the parallel benchmark sweeps — and the sharded step itself —
-// reproducible.
+// across platforms and standard libraries. All iteration is in index or
+// sorted order (no unordered containers on any event-generating path);
+// events are delivered from a per-step buffer in generation order; every
+// per-vehicle random draw comes from a counter-based per-vehicle stream
+// (util::counter_mix), so a draw's value depends only on the drawing
+// vehicle's own history, never on who drew before it.
 //
-// Parallel stepping (SimConfig::threads > 1): the sorted occupied-lane
-// worklist is partitioned into contiguous shards on a resident fork-join
-// team. Lane changes run on segment-aligned shards (a lane change never
-// leaves its segment, so shards share no mutable state; occupancy-worklist
-// transitions are logged per shard and applied in shard order). Dynamics
-// reads cross-segment entry room from a per-step snapshot taken before the
-// phase, so integration order cannot leak between shards. Overtake
-// detection shards the sorted watched list, each shard writing its own
-// EventBuffer; buffers merge into the step buffer in shard order — which
-// IS serial order, because shards are contiguous ranges of a sorted list.
-// Transits run serially: the candidate scan is one position load per
-// occupied lane, cheaper than a fork-join, and despawns, candidate
-// registration and admission mutate global structures in lane and node
-// order.
+// One world steps serially. SimConfig::threads is validated and kept
+// (configs, trace bytes and the benchmark set it) but does not change how
+// a world steps. Parallelism lives outside a world's step: sweep replicas
+// on a ThreadPool, and CountingService readers beside the stepping thread.
 //
 // Cost model: every per-step phase is O(occupied lanes + vehicles), not
 // O(total lanes). The engine maintains a sorted worklist of non-empty
@@ -51,11 +39,11 @@
 // layout is invisible in the event stream.
 //
 // Front-vehicle fast path: dynamics runs dynamics_lanes over the
-// worklist (serially, or one contiguous range per shard). A lane's front
-// vehicle decides whether to treat the stop line as an obstacle from two
-// hot reads: the store's next_edge column (cold.route.peek(), cached the
-// first time ensure_next_edge resolves it) and edge_room_, the per-edge
-// fold of the entry-room snapshot prepare_entry_space takes. Invariant:
+// worklist. A lane's front vehicle decides whether to treat the stop line
+// as an obstacle from two hot reads: the store's next_edge column
+// (cold.route.peek(), cached the first time ensure_next_edge resolves it)
+// and edge_room_, the per-edge fold of the entry-room snapshot
+// prepare_entry_space takes. Invariant:
 // next_edge is unset, or equals the route's next edge; spawn, every route
 // advance at admission and slot reset unset it, and only ensure_next_edge
 // sets it. It is a memo, not state: snapshots do not carry it and restore
@@ -78,20 +66,16 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "roadnet/road_network.hpp"
 #include "traffic/events.hpp"
-#include "traffic/sharding.hpp"
 #include "traffic/vehicle.hpp"
 #include "traffic/vehicle_store.hpp"
-#include "util/annotations.hpp"
 #include "util/perf.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ivc::serve {
 struct SnapshotAccess;
@@ -112,10 +96,11 @@ struct SimConfig {
   // Distance from the segment end at which a front vehicle starts treating
   // a blocked intersection as a stop line.
   double intersection_lookahead = 40.0;
-  // Worker threads for the sharded step phases: 1 = serial, 0 = hardware
-  // concurrency, N = a team of N (the calling thread is worker 0). The
-  // emitted event stream and every piece of engine state are bit-identical
-  // for every value — thread count is a throughput knob, never a seed.
+  // Engine threads as configured: 1 = serial, 0 = hardware concurrency,
+  // N > 1 = N. Must be >= 0. It no longer changes how a world steps (every
+  // world steps serially, so the event stream and engine state are the
+  // same at every value); it stays because configs, trace bytes and the
+  // benchmark's workloads carry it.
   int threads = 1;
   std::uint64_t seed = 1;
 
@@ -158,22 +143,18 @@ class SimEngine {
 
   // Spawn at an arbitrary position (initial population placement). Fails
   // (returns invalid id) if the spot would violate the jam gap.
-  // IVC_SERIAL_ONLY: spawning mutates the alive index, free list and
-  // entry-sequence counter — serial-owned structures no shard may touch.
-  IVC_SERIAL_ONLY VehicleId spawn_at(roadnet::EdgeId edge, int lane, double position,
-                                     const ExteriorAttributes& attrs, Route route,
-                                     double desired_speed_factor = 1.0,
-                                     bool is_patrol = false);
+  VehicleId spawn_at(roadnet::EdgeId edge, int lane, double position,
+                     const ExteriorAttributes& attrs, Route route,
+                     double desired_speed_factor = 1.0, bool is_patrol = false);
 
   // Spawn at the upstream end of `edge` if there is room.
-  IVC_SERIAL_ONLY VehicleId try_spawn_at_start(roadnet::EdgeId edge,
-                                               const ExteriorAttributes& attrs, Route route,
-                                               double desired_speed_factor = 1.0,
-                                               bool is_patrol = false);
+  VehicleId try_spawn_at_start(roadnet::EdgeId edge, const ExteriorAttributes& attrs,
+                               Route route, double desired_speed_factor = 1.0,
+                               bool is_patrol = false);
 
   // The protocol watches label carriers; the engine reports order flips
   // (overtakes) only for watched vehicles.
-  IVC_SERIAL_ONLY void set_watched(VehicleId id, bool watched);
+  void set_watched(VehicleId id, bool watched);
 
   // ---- simulation -----------------------------------------------------------
 
@@ -243,22 +224,13 @@ class SimEngine {
   // duplicate-free and exactly matches the set of non-empty lanes. O(total
   // lanes) — tests and assertions only, never on the step path.
   [[nodiscard]] bool debug_occupancy_consistent() const;
-  // Debug stat for false sharing between dynamics shards: the number of
-  // 64-byte cache lines of the `position` column that hold vehicles of more
-  // than one shard, under the shard partition the dynamics phase would use
-  // right now (0 when it would run serially). O(slots) — tests and
-  // measurement only, never on the step path.
-  [[nodiscard]] std::size_t debug_shared_hot_lines() const;
 
   [[nodiscard]] util::Rng& rng() { return rng_; }
 
-  // Resolved worker count for the sharded phases (1 when serial).
-  [[nodiscard]] std::size_t worker_count() const { return pool_ ? pool_->size() : 1; }
-
   // One draw from `id`'s counter-based stream (advances the vehicle's
   // counter). The route planner uses this to key all randomness of a
-  // replanning query to the vehicle that asked, which is what keeps
-  // replans issued concurrently from different shards schedule-independent.
+  // replanning query to the vehicle that asked, so a replan's draws do not
+  // depend on which other vehicles replanned before it.
   // A stale/invalid id (direct harness calls on a bare engine) falls back
   // to a stateless hash of the id.
   [[nodiscard]] std::uint64_t draw_for(VehicleId id);
@@ -288,49 +260,39 @@ class SimEngine {
   // Per-lane / per-node phase bodies shared by the fast drivers above and
   // the reference kernel's full scans. Each is a no-op on an empty lane, so
   // a full scan over all lane indices performs the same per-vehicle work —
-  // and consumes the same RNG draws — as the worklist walk. The parallel
-  // shards execute the same bodies as the serial path (dynamics_lanes for
-  // dynamics), which is why a sharded run reproduces the serial stream bit
-  // for bit.
-  //
-  // IVC_SHARD_PASS marks the bodies that run on fork-join workers: rule R3
-  // (tools/ivc_lint) walks their call graph and rejects I/O, logging,
-  // non-stream randomness and calls into IVC_SERIAL_ONLY functions — the
-  // static twin of the `tls_shard_ == nullptr` ownership assertions.
-  IVC_SHARD_PASS void lane_change_pass(std::uint32_t lane_idx);
+  // and consumes the same RNG draws — as the worklist walk.
+  void lane_change_pass(std::uint32_t lane_idx);
   // dynamics_pass is the scalar per-lane body: the reference kernel and
   // the injected-bug engines drive it, and it reads the route and the
   // per-lane entry snapshot directly. The engine's own update_dynamics
-  // runs dynamics_lanes over a contiguous range of the worklist (the
-  // serial path and every shard alike): the same per-vehicle expressions
-  // in the same order within each lane, with each front decided from the
-  // next_edge column and edge_room_, and the followers of several lanes
-  // stepped round-robin (lanes share no state in dynamics).
-  IVC_SHARD_PASS void dynamics_pass(std::uint32_t lane_idx);
-  IVC_SHARD_PASS void dynamics_lanes(const std::uint32_t* lanes, std::size_t count);
+  // runs dynamics_lanes over the worklist: the same per-vehicle
+  // expressions in the same order within each lane, with each front
+  // decided from the next_edge column and edge_room_, and the followers of
+  // several lanes stepped round-robin (lanes share no state in dynamics).
+  void dynamics_pass(std::uint32_t lane_idx);
+  void dynamics_lanes(const std::uint32_t* lanes, std::size_t count);
   // The front-vehicle body of dynamics_lanes.
-  IVC_SHARD_PASS void dynamics_front(std::uint32_t slot, const roadnet::Segment& seg);
+  void dynamics_front(std::uint32_t slot, const roadnet::Segment& seg);
   // Appends the lane's front vehicle to its node's candidate list (or
   // despawns it on an outbound gateway); registers the node in
-  // active_nodes_ on first candidate. Serial-only: despawns and candidate
-  // registration mutate global structures.
-  IVC_SERIAL_ONLY void collect_transit_candidates(std::uint32_t lane_idx);
+  // active_nodes_ on first candidate.
+  void collect_transit_candidates(std::uint32_t lane_idx);
   // Admits this step's candidates at `node` (ordering, admission budget,
   // events) and clears the node's candidate list.
-  IVC_SERIAL_ONLY void admit_at_node(roadnet::NodeId node);
+  void admit_at_node(roadnet::NodeId node);
   // Order-flip scan for one watched vehicle (the per-item body of
   // detect_overtakes).
-  IVC_SHARD_PASS void overtake_scan(VehicleId wid);
+  void overtake_scan(VehicleId wid);
 
   // Snapshot of per-lane entry room (rearmost position − length) for every
   // occupied lane, taken at the top of the dynamics phase (with its
   // per-edge fold, edge_room_). Both dynamics bodies read next-edge room
-  // from this snapshot instead of live positions, so
-  // the stop-line decision of a lane's front vehicle cannot depend on
-  // whether the next edge's lanes were integrated before or after it —
-  // neither across the serial scan order nor across shards. Must be called
-  // by every update_dynamics driver (the reference kernel's full scan
-  // included) before the first dynamics body runs.
+  // from this snapshot instead of live positions, so the stop-line
+  // decision of a lane's front vehicle cannot depend on whether the next
+  // edge's lanes were integrated before or after it in the scan order
+  // (worklist or full scan alike). Must be called by every update_dynamics
+  // driver (the reference kernel's full scan included) before the first
+  // dynamics body runs.
   void prepare_entry_space();
   // pick_entry_lane against the snapshot (same tie-breaks); admission and
   // spawning keep using the live pick_entry_lane below.
@@ -355,10 +317,6 @@ class SimEngine {
   // happen at interior nodes).
   roadnet::EdgeId ensure_next_edge(std::uint32_t slot, roadnet::NodeId node);
 
-  // Shard-safe by construction: lane lists and edge counters are
-  // shard-owned in every sharded phase that calls these, and the occupancy
-  // worklist transitions they trigger are logged per shard (see
-  // mark_lane_occupied/mark_lane_empty).
   void remove_from_lane(VehicleId id);
   void insert_into_lane(VehicleId id, roadnet::EdgeId edge, int lane, double position);
 
@@ -367,62 +325,11 @@ class SimEngine {
   void mark_lane_empty(std::size_t index);
 
   // Slot allocation: pop the free list (bumping the generation) or grow.
-  IVC_SERIAL_ONLY [[nodiscard]] VehicleId allocate_slot();
-  IVC_SERIAL_ONLY void despawn(std::uint32_t slot, roadnet::EdgeId edge);
-
-  // Per-worker context for one sharded phase execution. Everything a shard
-  // produces beyond its own vehicles' state lands here and is merged into
-  // the engine's canonical structures — in shard order — after the join.
-  struct ShardContext {
-    ShardRange range;
-    // Events emitted by this shard (overtakes), spliced in shard order.
-    EventBuffer events;
-    std::uint64_t events_emitted = 0;
-    // Occupancy-worklist transitions (lane index, became-occupied) logged
-    // during sharded lane changes, applied serially in shard order.
-    std::vector<std::pair<std::uint32_t, bool>> occupancy_log;
-    // Busy wall / thread-CPU nanoseconds of this shard's task (perf runs
-    // only; CPU only on the collector's sampling stride). Wall time sums
-    // over ALL shards (cumulative worker busy time); CPU time is summed
-    // over parked workers only — the caller thread is worker 0 and its CPU
-    // is already inside the phase-level PerfTimer.
-    std::uint64_t busy_nanos = 0;
-    std::uint64_t busy_cpu_nanos = 0;
-
-    void reset() {
-      // The events buffer is normally drained by the merge; clearing it
-      // here too keeps a phase abandoned mid-way (a throwing planner
-      // callback) from leaking its events into a later step's merge.
-      events.clear();
-      events_emitted = 0;
-      occupancy_log.clear();
-      busy_nanos = 0;
-      busy_cpu_nanos = 0;
-    }
-  };
-
-  // Shard count for a worklist of `items` (1 = run the phase serially).
-  [[nodiscard]] std::size_t shard_count(std::size_t items) const;
-  // shard_worklist over a sorted lane worklist, aligned to segments.
-  void shard_lanes(const std::vector<std::uint32_t>& lanes, std::size_t shards,
-                   std::vector<ShardRange>* out) const;
-  // Runs `body(shard)` for every shard of shards_ on the fork-join team,
-  // with the calling worker's ShardContext installed in tls_shard_ for the
-  // duration; accumulates busy time per shard when perf is attached, and
-  // reports the sum to the collector under `phase` after the join.
-  void run_sharded(util::PerfPhase phase,
-                   const std::function<void(ShardContext&)>& body);
+  [[nodiscard]] VehicleId allocate_slot();
+  void despawn(std::uint32_t slot, roadnet::EdgeId edge);
 
   template <typename Event>
   void push_event(Event&& event) {
-    // Sharded phases write their own buffer; the serial path appends to
-    // the step buffer directly. Shard buffers are spliced back in shard
-    // order, so delivery order is identical either way.
-    if (ShardContext* shard = tls_shard_) {
-      ++shard->events_emitted;
-      shard->events.push(std::forward<Event>(event));
-      return;
-    }
     ++events_emitted_;
     events_.push(std::forward<Event>(event));
   }
@@ -472,15 +379,6 @@ class SimEngine {
   // empty, else the largest entry_space_ over its lanes. Valid only for
   // edges with edge_count_ != 0.
   std::vector<double> edge_room_;
-  // Fork-join team (threads > 1 only) and its per-worker shard contexts.
-  std::unique_ptr<util::ForkJoinPool> pool_;
-  std::vector<ShardContext> shards_;
-  std::vector<ShardRange> shard_ranges_;  // scratch for the partitioner
-  // Worker-local shard context during a sharded phase; null on every
-  // serial path. Thread-local because the team's workers are dedicated
-  // threads; the calling thread installs/restores its own slot around the
-  // fork-join.
-  static thread_local ShardContext* tls_shard_;
   std::vector<std::uint32_t> edge_count_;      // vehicles per edge (all lanes)
   std::vector<roadnet::NodeId> active_nodes_;  // nodes with transit candidates
 

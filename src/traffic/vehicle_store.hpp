@@ -7,7 +7,7 @@
 // vector, exterior attributes, RNG counters), so every per-vehicle touch
 // dragged several cache lines of cold state through L1 and left the
 // compiler nothing contiguous to vectorize. VehicleStore keeps one dense
-// array per hot field, indexed by VehicleId::slot(), so a sharded dynamics
+// array per hot field, indexed by VehicleId::slot(), so the dynamics
 // sweep streams exactly the bytes it computes with; everything the sweeps
 // never read per vehicle stays in the parallel VehicleCold record
 // (vehicle.hpp), touched only on slow paths (spawn, admission, despawn,

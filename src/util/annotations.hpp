@@ -1,14 +1,10 @@
-// Determinism/concurrency contract markers, read by `tools/ivc_lint`.
+// Determinism contract markers, read by `tools/ivc_lint`.
 //
-// The repo's exactness guarantees (bit-identical event streams at any
-// thread count, exact per-checkpoint counts) rest on invariants that a
-// compiler cannot see: which functions run inside sharded step phases,
-// which engine state is shard-owned, and which iteration orders feed the
-// event stream. These macros turn those invariants into machine-readable
-// annotations. Under clang they additionally expand to
-// [[clang::annotate]] attributes so libclang-based tooling can read them
-// from the AST; under every compiler the literal macro name in the source
-// is what `tools/ivc_lint`'s token mode keys on.
+// The repo's exactness guarantees (bit-identical event streams, exact
+// per-checkpoint counts) rest on invariants that a compiler cannot see,
+// such as which iteration orders feed the event stream. These macros mark
+// the sites where a rule is deliberately waived, with the reason; the
+// literal macro name in the source is what `tools/ivc_lint` keys on.
 //
 // Rules enforced over `src/` (see tools/ivc_lint and the README section
 // "Static analysis & determinism invariants"):
@@ -16,33 +12,8 @@
 //       outside util/rng, no raw clock reads outside util/perf;
 //   R2  no iteration over std::unordered_map/set without an explicit
 //       IVC_ORDER_EXEMPT justification;
-//   R3  IVC_SHARD_PASS functions must not reach (direct call graph) I/O,
-//       logging, non-StreamRng randomness, or IVC_SERIAL_ONLY functions;
 //   R4  no direct VehicleStore hot-array indexing outside src/traffic/.
 #pragma once
-
-#if defined(__clang__)
-#define IVC_ANNOTATE(tag) [[clang::annotate(tag)]]
-#else
-#define IVC_ANNOTATE(tag)
-#endif
-
-// Marks a function as a shard-pass body: it may run on a fork-join worker
-// with a ShardContext installed, concurrently with the same function on
-// other shards. Everything it reaches by direct call must be shard-safe —
-// no I/O or logging, no randomness except counter-based per-entity
-// streams (util::StreamRng / counter_mix / draw_for), and no mutation of
-// engine state that is not shard-owned (rule R3). Place on the
-// declaration, immediately before the return type.
-#define IVC_SHARD_PASS IVC_ANNOTATE("ivc::shard_pass")
-
-// Marks a function that mutates serial-owned engine state (alive index,
-// free list, watched list, admission bookkeeping, ...) and therefore must
-// never be reached from an IVC_SHARD_PASS body (rule R3). The dynamic
-// counterpart is the `tls_shard_ == nullptr` assertion the most sensitive
-// of these functions carry; R3 catches the call statically, on every code
-// path, at PR time.
-#define IVC_SERIAL_ONLY IVC_ANNOTATE("ivc::serial_only")
 
 // Statement-level exemption for rule R2: the following iteration over an
 // unordered container is deliberate and order-insensitive (e.g. a
@@ -52,8 +23,8 @@
 #define IVC_ORDER_EXEMPT(why) \
   static_assert(sizeof(why) > 1, "IVC_ORDER_EXEMPT requires a non-empty justification")
 
-// Site-level exemption for any rule: silences `rule` (R1..R4) findings on
-// this line and the next. Use sparingly — every allow is an invariant the
+// Site-level exemption for any rule: silences `rule` (R1, R2 or R4)
+// findings on this line and the next. Use sparingly — every allow is an invariant the
 // tools can no longer check; the justification string must say why the
 // site is safe, not what it does.
 #define IVC_LINT_ALLOW(rule, why) \

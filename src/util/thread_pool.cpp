@@ -105,13 +105,11 @@ void ThreadPool::worker_loop() {
 // ---- ForkJoinPool -----------------------------------------------------------
 
 namespace {
-// How long a waiter spins before parking on the atomic. The engine issues
-// two or three fork-joins per step, separated by serial work: transits,
-// bookkeeping and the event flush take about 40-60 us of a grid-rush
-// step. A shorter spin parks the workers inside that gap, and every phase
-// then pays a futex wake-up. 100 us outlasts the gap, so a stepping team
-// stays hot for the whole step, while an idle team still parks and costs
-// nothing.
+// How long a waiter spins before parking on the atomic. Sized for
+// fork-joins separated by tens of microseconds of serial work (the
+// engine's former sharded step had 40-60 us between phases): a shorter
+// spin parks the workers inside that gap, and every fork-join then pays a
+// futex wake-up. An idle team still parks and costs nothing.
 constexpr std::uint64_t kSpinBudgetNanos = 100'000;
 // Spins between clock reads. Each clock read also yields the core: with
 // more runnable threads than cores (parallel ctest runs several threaded

@@ -1,5 +1,5 @@
 // Fixed-size thread pool with a parallel_for helper, plus a low-latency
-// fork-join team for the engine's per-step parallelism.
+// fork-join team.
 //
 // The benchmark harnesses sweep a (traffic volume x seed count x replica)
 // grid; each grid point is an independent deterministic simulation, so the
@@ -7,12 +7,16 @@
 // counter (dynamic scheduling) because run times vary strongly with traffic
 // volume.
 //
-// ThreadPool's mutex + condvar queue costs tens of microseconds per batch —
-// fine for sweep replicas that run for seconds each, fatal for engine step
-// phases that last single-digit microseconds. ForkJoinPool keeps resident
-// workers waiting on an epoch counter (a time-budgeted spin, then a C++20
-// atomic wait) and runs the caller as worker 0, so a fork-join is two
-// atomic bumps plus however long the stragglers take.
+// ThreadPool's mutex + condvar queue costs tens of microseconds per batch,
+// which is nothing beside replicas that run for seconds each. ForkJoinPool
+// keeps resident workers waiting on an epoch counter (a time-budgeted
+// spin, then a C++20 atomic wait) and runs the caller as worker 0, so a
+// fork-join is two atomic bumps plus however long the stragglers take.
+//
+// SimEngine uses neither: one world steps serially, because a step
+// (~100 us on the paper's grid at peak) is too short to split across
+// cores and win. ForkJoinPool once ran its intra-step shards and has no
+// caller in src/ now.
 #pragma once
 
 #include <atomic>
@@ -68,10 +72,9 @@ class ThreadPool {
 // calling thread itself — a team of N runs only N-1 OS threads. Both
 // waits (workers on the fork epoch, the caller on the join count) spin
 // for about 100 us, yielding every few dozen spins, then park on a C++20
-// atomic wait. The budget outlasts the serial work between the engine's
-// fork-joins within one step, so a stepping team never sleeps mid-step
-// and a fork-join costs no futex wake-up; a team idle for longer parks
-// and costs nothing.
+// atomic wait. A caller that forks again within the budget finds the
+// team awake and pays no futex wake-up; a team idle for longer parks and
+// costs nothing.
 class ForkJoinPool {
  public:
   // `num_threads` is the total worker count including the caller;

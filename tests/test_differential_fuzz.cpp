@@ -73,55 +73,26 @@ TEST(DifferentialFuzz, ConvergedCasesAreExact) {
   EXPECT_GT(converged, 5) << "seed bank no longer reaches convergence; rebalance the fuzzer";
 }
 
-// The same bank in parallel-vs-serial mode: every case run on the fast
-// engine at 2 workers and at hardware concurrency must produce digests
-// byte-identical to the fast engine at threads=1. This is the machine
-// check that SimConfig::threads is a throughput knob, not a seed — the
-// PR-4 harness was built exactly to de-risk this kind of refactor.
-TEST(DifferentialFuzz, SeedBankParallelMatchesSerial) {
-  int failures = 0;
-  for (int i = 0; i < kBankCases; ++i) {
-    const std::uint64_t seed = bank_seed(kBankCampaignSeed, static_cast<std::uint64_t>(i));
-    for (const int threads : {2, 0 /* hardware concurrency */}) {
-      const DiffResult diff = diff_case_threads(seed, threads);
-      if (!diff.match) {
-        ++failures;
-        ADD_FAILURE() << "case " << i << " diverged across thread counts\n  "
-                      << diff.summary << "\n  divergence: " << diff.divergence
-                      << "\n  replay: ivc_fuzz --parallel-diff --threads " << threads
-                      << " --replay "
-                      << util::format("0x%llx", static_cast<unsigned long long>(seed));
-      }
-    }
-    if (failures >= 3) break;  // enough signal; keep the log readable
-  }
-  EXPECT_EQ(failures, 0);
-}
-
 // The same bank through the snapshot-roundtrip mode: every case is run to
 // a seed-derived cut step, saved, serialized, parsed back, restored into a
-// freshly built world, and run to completion — at threads=1 and threads=4.
-// The digest (event-stream hash, checkpoint totals, oracle verdicts, ...)
-// must be byte-identical to the uninterrupted run at the same thread
-// count. This is the acceptance gate for the serve layer: restore-then-
-// continue is bit-exact, or the snapshot is not a snapshot.
+// freshly built world, and run to completion. The digest (event-stream
+// hash, checkpoint totals, oracle verdicts, ...) must be byte-identical to
+// the uninterrupted run. This is the acceptance gate for the serve layer:
+// restore-then-continue is bit-exact, or the snapshot is not a snapshot.
 TEST(DifferentialFuzz, SeedBankSnapshotRoundtripIsBitExact) {
   int failures = 0;
   for (int i = 0; i < kBankCases; ++i) {
     const std::uint64_t seed = bank_seed(kBankCampaignSeed, static_cast<std::uint64_t>(i));
-    for (const int threads : {1, 4}) {
-      const DiffResult diff = diff_case_snapshot(seed, /*snapshot_at=*/-1, {}, threads);
-      if (!diff.match) {
-        ++failures;
-        ADD_FAILURE() << "case " << i << " lost state across save/restore\n  "
-                      << diff.summary << "\n  divergence: " << diff.divergence
-                      << "\n  replay: ivc_fuzz --snapshot-at -1 --threads " << threads
-                      << " --replay "
-                      << util::format("0x%llx", static_cast<unsigned long long>(seed));
-      }
-      EXPECT_GT(diff.fast.steps, 0u);
+    const DiffResult diff = diff_case_snapshot(seed, /*snapshot_at=*/-1);
+    if (!diff.match) {
+      ++failures;
+      ADD_FAILURE() << "case " << i << " lost state across save/restore\n  " << diff.summary
+                    << "\n  divergence: " << diff.divergence
+                    << "\n  replay: ivc_fuzz --snapshot-at -1 --replay "
+                    << util::format("0x%llx", static_cast<unsigned long long>(seed));
+      if (failures >= 3) break;  // enough signal; keep the log readable
     }
-    if (failures >= 3) break;  // enough signal; keep the log readable
+    EXPECT_GT(diff.fast.steps, 0u);
   }
   EXPECT_EQ(failures, 0);
 }
@@ -289,18 +260,6 @@ TEST(DifferentialFuzz, NamedScenariosDiffClean) {
     EXPECT_GT(diff->fast.steps, 0u);
   }
   EXPECT_FALSE(diff_named_scenario("no-such-scenario").has_value());
-}
-
-TEST(DifferentialFuzz, EveryRegistryScenarioParallelMatchesSerial) {
-  // The whole catalogue — every topology family, dense and sparse, closed
-  // and open — at 4 workers vs serial, at smoke scale.
-  for (const auto& entry : experiment::ScenarioRegistry::builtin().entries()) {
-    const auto diff = diff_named_scenario_threads(entry.name, 4);
-    ASSERT_TRUE(diff.has_value()) << entry.name;
-    EXPECT_TRUE(diff->match) << diff->summary << "\n  divergence: " << diff->divergence;
-    EXPECT_GT(diff->fast.steps, 0u) << entry.name;
-  }
-  EXPECT_FALSE(diff_named_scenario_threads("no-such-scenario", 4).has_value());
 }
 
 TEST(DifferentialFuzz, InjectedStaleNextEdgeIsCaught) {

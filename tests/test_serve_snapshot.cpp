@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "experiment/registry.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/trace.hpp"
 #include "serve/world.hpp"
@@ -446,6 +447,41 @@ TEST(SimWorldSnapshot, RestoreOverCachedNextEdgesContinuesBitExact) {
   original.save(a);
   rewound.save(b);
   EXPECT_EQ(a.to_bytes(), b.to_bytes());
+}
+
+// One world steps serially at every SimConfig::threads value: configs,
+// traces and the benchmark carry the field, but it must not move a single
+// event or snapshot byte.
+TEST(EngineThreads, EveryThreadCountGivesTheSameEventsAndSnapshotBytes) {
+  const experiment::NamedScenario* scenario =
+      experiment::ScenarioRegistry::builtin().find("manhattan-open-steady");
+  ASSERT_NE(scenario, nullptr);
+  struct Run {
+    std::uint64_t event_hash = 0;
+    std::uint64_t events = 0;
+    std::vector<std::uint8_t> bytes;
+  };
+  const auto run = [scenario](int threads) {
+    experiment::ScenarioConfig config = scenario->make(experiment::ScenarioScale::Smoke);
+    config.sim.threads = threads;
+    testing::EventStreamHasher hasher;
+    experiment::RunHooks hooks;
+    hooks.observers.push_back(&hasher);
+    SimWorld world(config, hooks);
+    hasher.bind(&world.engine());
+    for (int i = 0; i < 300 && !world.done(); ++i) world.step();
+    Snapshot snap;
+    world.save(snap);
+    return Run{hasher.hash(), hasher.event_count(), snap.to_bytes()};
+  };
+  const Run serial = run(1);
+  ASSERT_GT(serial.events, 0u);
+  for (const int threads : {0, 2, 4}) {
+    const Run other = run(threads);
+    EXPECT_EQ(other.event_hash, serial.event_hash) << "threads=" << threads;
+    EXPECT_EQ(other.events, serial.events) << "threads=" << threads;
+    EXPECT_EQ(other.bytes, serial.bytes) << "threads=" << threads;
+  }
 }
 
 // ---- traces -----------------------------------------------------------------

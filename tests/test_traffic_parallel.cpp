@@ -1,6 +1,8 @@
-// Parallel stepping determinism: the engine's event stream and final state
-// must be bit-identical for every SimConfig::threads value. These tests
-// drive a fully-wired churning world (boundary arrivals, lane changes on
+// Thread-count determinism: the engine's event stream and final state
+// must be bit-identical for every SimConfig::threads value. A world steps
+// serially whatever the value (it is kept for configs, trace bytes and
+// perfbench), so these tests pin that the knob stays inert: they drive a
+// fully-wired churning world (boundary arrivals, lane changes on
 // multi-lane avenues, watched vehicles, replans, despawns) at thread
 // counts 1/2/4/8 and require identical event-stream hashes, identical
 // state counters, and a consistent occupancy worklist throughout.
@@ -110,8 +112,7 @@ RunResult run_world(int threads, std::uint64_t seed, int steps,
   StreamHash hash;
   engine.add_observer(&hash);
   demand.init_population();
-  // Watch a slice of the fleet so overtake events exercise the sharded
-  // detector and its shard-buffer merge.
+  // Watch a slice of the fleet so overtake events enter the stream.
   const auto& alive = engine.alive_vehicles();
   for (std::size_t i = 0; i < std::min<std::size_t>(alive.size(), 16); ++i) {
     engine.set_watched(alive[i], true);
@@ -152,8 +153,8 @@ TEST(ParallelStepping, EventStreamIdenticalAcrossThreadCounts) {
     EXPECT_EQ(threaded.alive, serial.alive) << "threads=" << threads;
     EXPECT_EQ(threaded.population_inside, serial.population_inside)
         << "threads=" << threads;
-    // Bitwise, not approximately: the sharded integrator performs the
-    // same floating-point operations in the same per-lane order.
+    // Bitwise, not approximately: every thread count runs the same
+    // floating-point operations in the same per-lane order.
     EXPECT_EQ(threaded.mean_speed, serial.mean_speed) << "threads=" << threads;
   }
 }
@@ -168,9 +169,8 @@ TEST(ParallelStepping, HardwareConcurrencyAliasMatchesSerial) {
 }
 
 TEST(ParallelStepping, OccupancyWorklistConsistentUnderSharding) {
-  // The deferred occupancy log is the one global structure the sharded
-  // lane-change phase touches; verify the worklist it reconstructs stays
-  // exactly the set of non-empty lanes through heavy churn.
+  // The occupancy worklist must stay exactly the set of non-empty lanes
+  // through heavy churn at a thread count above one.
   const RunResult threaded = run_world(4, 53, 1000, /*check_occupancy_under_way=*/true);
   EXPECT_TRUE(threaded.occupancy_consistent);
   EXPECT_GT(threaded.transits, 0u);

@@ -1,5 +1,8 @@
-// Shard partition + merge: the two pure pieces the parallel engine's
-// determinism rests on. The partitioner must produce contiguous,
+// Shard partition + merge (traffic/sharding.hpp, EventBuffer::splice):
+// the two pure pieces a partitioned pass's determinism rests on. The
+// engine steps every world serially and calls neither; the last cases
+// pin that SimConfig::threads leaves a saturated world bit-identical.
+// The partitioner must produce contiguous,
 // exhaustive, segment-aligned ranges for ANY worklist/shard-count
 // combination — including the adversarial ones (empty worklists, empty
 // shards, single-lane shards, one segment swallowing everything) — and
@@ -9,8 +12,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -196,19 +197,14 @@ TEST(EventBufferSplice, AdversarialShardBoundariesPreserveWorklistOrder) {
   }
 }
 
-// ---- shard boundaries against the SoA layout --------------------------------
+// ---- thread count against the SoA layout ------------------------------------
 //
-// The SoA refactor made every shard read and write slices of the same
-// global arrays (position[], speed[], ...) instead of disjoint Vehicle
-// records, so a shard-boundary bug now corrupts neighbours through plain
-// array indexing rather than through pointers. These cases saturate every
-// lane of a ring (worklist = all lanes, so shard boundaries land exactly
-// on segment edges, the alignment the partitioner guarantees) and require
-// the hot arrays to come out bit-identical for every thread count.
+// These cases saturate every lane of a ring and require the hot arrays
+// (position[], speed[]) to come out bit-identical for every thread count:
+// the engine steps serially whatever SimConfig::threads says.
 
 // One-way ring of `segments` edges, `lanes` lanes each, every lane seeded
-// with two vehicles — occupancy is total, the adversarial case where each
-// worker's range abuts another's in the shared arrays.
+// with two vehicles — occupancy is total.
 struct SaturatedRing {
   roadnet::RoadNetwork net;
   std::vector<roadnet::EdgeId> edges;
@@ -252,7 +248,7 @@ std::tuple<std::vector<double>, std::vector<double>, std::uint64_t> run_saturate
     const int lanes = ring.net.segment(ring.edges[s]).lanes;
     for (int lane = 0; lane < lanes; ++lane) {
       // Mixed desired speeds provoke lane changes and overtakes right at
-      // the stop lines where shard ranges meet.
+      // the stop lines.
       const double fast = 0.7 + 0.05 * ((s + static_cast<std::uint32_t>(lane)) % 8);
       EXPECT_TRUE(
           engine.spawn_at(ring.edges[s], lane, 90.0, attrs, ring.loop_from(s), fast).valid());
@@ -260,7 +256,7 @@ std::tuple<std::vector<double>, std::vector<double>, std::uint64_t> run_saturate
           engine.spawn_at(ring.edges[s], lane, 30.0, attrs, ring.loop_from(s), 1.2).valid());
     }
   }
-  // Watch a spread of vehicles so the sharded overtake scan contributes.
+  // Watch a spread of vehicles so the overtake scan contributes.
   const auto& alive = engine.alive_vehicles();
   for (std::size_t i = 0; i < alive.size(); i += 7) engine.set_watched(alive[i], true);
   for (int i = 0; i < steps; ++i) engine.step();
@@ -270,117 +266,38 @@ std::tuple<std::vector<double>, std::vector<double>, std::uint64_t> run_saturate
 }
 
 TEST(ShardSoA, HotArraysBitIdenticalAcrossThreadCounts) {
-  // 32 segments x 2 lanes = 64 occupied lanes: enough for 4 shards at the
-  // engine's grain, with boundaries forced onto segment edges mid-ring.
+  // 32 segments x 2 lanes = 64 occupied lanes.
   const SaturatedRing ring(32, 2);
   const auto serial = run_saturated(ring, 1, 80);
   for (const int threads : {2, 3, 4, 8}) {
     const auto parallel = run_saturated(ring, threads, 80);
-    // Bitwise, not approximately: shards execute the same per-lane bodies
-    // in the same arithmetic order, so any divergence is a boundary bug.
+    // Bitwise, not approximately: every thread count runs the same
+    // per-lane bodies in the same arithmetic order.
     EXPECT_EQ(std::get<0>(serial), std::get<0>(parallel)) << "threads=" << threads;
     EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel)) << "threads=" << threads;
     EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel)) << "threads=" << threads;
   }
 }
 
-// A traced sharded step reads the workers' thread-CPU clock only on the
-// collector's sampling stride, not on every fork-join, while the wall
-// busy time still covers every sharded call.
-TEST(ShardPerf, WorkerCpuIsSampledOnTheCollectorStride) {
-  const SaturatedRing ring(32, 2);
-  SimConfig config;
-  config.threads = 2;
-  SimEngine engine(ring.net, config);
-  ExteriorAttributes attrs;
-  for (std::uint32_t s = 0; s < ring.edges.size(); ++s) {
-    for (int lane = 0; lane < 2; ++lane) {
-      for (const double pos : {30.0, 90.0}) {
-        ASSERT_TRUE(engine.spawn_at(ring.edges[s], lane, pos, attrs, ring.loop_from(s)).valid());
-      }
-    }
-  }
-  util::PerfCollector perf;
-  engine.set_perf(&perf);
-  constexpr std::uint64_t kSteps = 4 * util::PerfCollector::kCpuSampleStride;
-  for (std::uint64_t i = 0; i < kSteps; ++i) engine.step();
-  // 128 vehicles keep the worklist above the sharding grain, so dynamics
-  // is sharded on every step and exactly the strided calls are sampled.
-  const util::PerfPhaseStats& dynamics = perf.phase(util::PerfPhase::Dynamics);
-  EXPECT_EQ(dynamics.calls, kSteps);
-  EXPECT_EQ(dynamics.parallel_calls, kSteps);
-  EXPECT_EQ(dynamics.parallel_cpu_sample_calls, 4u);
-  EXPECT_GT(dynamics.parallel_nanos, 0u);
-}
+// ---- exception safety -------------------------------------------------------
 
-// ---- shard ownership assertions ---------------------------------------------
-//
-// Two nets catch a serial-only call escaping into a sharded phase:
-//
-//  * static — ivc_lint rule R3 walks the direct call graph from every
-//    IVC_SHARD_PASS body and rejects reachable IVC_SERIAL_ONLY calls at
-//    lint time. It cannot see through virtual dispatch, std::function
-//    callbacks (the route planner), or code outside src/.
-//  * dynamic — the IVC_ASSERT(tls_shard_ == nullptr) ownership checks in
-//    the serial-only mutators, which trip at runtime no matter how the
-//    call arrived. IVC_ASSERT stays enabled in Release, so this net is
-//    live in every build type.
-//
-// This death test pins the dynamic net: a subclass (exactly the kind of
-// code R3 never sees) installs a worker's shard context the way
-// run_sharded does, then makes the forbidden despawn call. No pool
-// threads are involved — the context is installed directly on this
-// thread — so the EXPECT_DEATH fork stays single-threaded and safe.
-class ShardOwnershipProbeEngine final : public SimEngine {
+// Reaches the engine's protected serial-only despawn.
+class DespawnProbeEngine final : public SimEngine {
  public:
   using SimEngine::SimEngine;
-
-  void despawn_from_inside_shard(VehicleId id) {
-    ShardContext ctx;
-    tls_shard_ = &ctx;  // what run_sharded does around each worker's body
-    despawn(id.slot(), vehicle(id).edge());
-    tls_shard_ = nullptr;  // not reached; restored for form
-  }
 
   void despawn_serially(VehicleId id) { despawn(id.slot(), vehicle(id).edge()); }
 };
 
-TEST(ShardOwnership, SerialOnlyDespawnInsideShardContextAborts) {
-  const SaturatedRing ring(2, 1);
-  SimConfig config;
-  config.threads = 1;  // no fork-join team: keep the parent fork-safe
-  ShardOwnershipProbeEngine engine(ring.net, config);
-  ExteriorAttributes attrs;
-  attrs.type = BodyType::Sedan;
-  const VehicleId id =
-      engine.spawn_at(ring.edges[0], 0, 40.0, attrs, ring.loop_from(0), 1.0);
-  ASSERT_TRUE(id.valid());
-  // The same call is legal on the serial path (proves the probe fails for
-  // the ownership reason, not because the despawn itself is malformed)...
-  ShardOwnershipProbeEngine serial_engine(ring.net, config);
-  const VehicleId serial_id =
-      serial_engine.spawn_at(ring.edges[0], 0, 40.0, attrs, ring.loop_from(0), 1.0);
-  ASSERT_TRUE(serial_id.valid());
-  serial_engine.despawn_serially(serial_id);
-  EXPECT_EQ(serial_engine.alive_vehicles().size(), 0u);
-  // ...and aborts with the ownership assertion inside a shard context.
-  EXPECT_DEATH(engine.despawn_from_inside_shard(id), "tls_shard_ == nullptr");
-}
-
-// The TlsGuard in run_sharded is a scope guard precisely so that a shard
-// body throwing (a route-planner callback can) cannot leave the caller
-// thread — worker 0 — with a stale shard context after the fork-join
-// rethrows. Regression shape: drive a genuinely sharded step whose
-// planner throws, catch the rethrow, then perform a serial-only mutation.
-// With a stale tls_shard_ the despawn's ownership assertion would abort
-// the process; with the guard it must succeed.
+// A route-planner callback may throw from inside a step. Regression
+// shape: drive a world at threads = 4 whose planner throws, catch the
+// rethrow, then perform a serial-only mutation, which must succeed on
+// the engine the exception left behind.
 TEST(ShardExceptionSafety, ThrowingPlannerLeavesSerialPathUsable) {
-  // 32 segments x 2 lanes = 64 occupied lanes: over the sharding grain, so
-  // the dynamics phase really forks across the 4-worker team.
   const SaturatedRing ring(32, 2);
   SimConfig config;
   config.threads = 4;
-  ShardOwnershipProbeEngine engine(ring.net, config);
+  DespawnProbeEngine engine(ring.net, config);
   ExteriorAttributes attrs;
   attrs.type = BodyType::Sedan;
   for (std::uint32_t s = 0; s < ring.edges.size(); ++s) {
@@ -388,8 +305,7 @@ TEST(ShardExceptionSafety, ThrowingPlannerLeavesSerialPathUsable) {
     for (int lane = 0; lane < lanes; ++lane) {
       // Non-cyclic single-edge continuations (the route holds the edges
       // *after* the spawn edge): one transit exhausts it, and the next
-      // stop line must consult the planner — from inside the sharded
-      // dynamics pass.
+      // stop line must consult the planner from inside the dynamics pass.
       Route route;
       route.edges = {ring.edges[(s + 1) % ring.edges.size()]};
       ASSERT_TRUE(engine.spawn_at(ring.edges[s], lane, 120.0, attrs, route, 1.0).valid());
@@ -408,73 +324,16 @@ TEST(ShardExceptionSafety, ThrowingPlannerLeavesSerialPathUsable) {
   }
   ASSERT_TRUE(threw) << "no vehicle consulted the planner; the setup went stale";
 
-  // Caller thread survived the rethrow; its shard context must be gone.
+  // The engine survived the rethrow and still takes serial mutations.
   ASSERT_FALSE(engine.alive_vehicles().empty());
   const std::size_t before = engine.alive_vehicles().size();
   engine.despawn_serially(engine.alive_vehicles().front());
   EXPECT_EQ(engine.alive_vehicles().size(), before - 1);
 }
 
-// ---- false-sharing stat ------------------------------------------------------
-//
-// debug_shared_hot_lines() counts the 64-byte lines of the position column
-// that hold vehicles of more than one dynamics shard. The reference below
-// groups slots by line directly from their addresses.
-
-// 32 single-lane segments at threads = 2: lanes 0-15 form shard 0 and
-// lanes 16-31 shard 1. Spawns one vehicle per segment; `segment_of_slot`
-// says which segment slot i (the i-th spawn) lands on.
-std::size_t shared_lines(int threads, std::uint32_t (*segment_of_slot)(std::uint32_t),
-                         std::size_t* reference) {
-  const SaturatedRing ring(32, 1);
-  SimConfig config;
-  config.threads = threads;
-  SimEngine engine(ring.net, config);
-  ExteriorAttributes attrs;
-  for (std::uint32_t slot = 0; slot < 32; ++slot) {
-    const std::uint32_t segment = segment_of_slot(slot);
-    const VehicleId id =
-        engine.spawn_at(ring.edges[segment], 0, 40.0, attrs, ring.loop_from(segment));
-    EXPECT_EQ(id.slot(), slot);
-  }
-  std::map<std::uintptr_t, std::set<bool>> shards_by_line;
-  for (std::uint32_t slot = 0; slot < 32; ++slot) {
-    const auto line = reinterpret_cast<std::uintptr_t>(&engine.store().position[slot]) / 64;
-    shards_by_line[line].insert(segment_of_slot(slot) >= 16);
-  }
-  *reference = 0;
-  for (const auto& [line, shards] : shards_by_line) *reference += shards.size() > 1 ? 1 : 0;
-  return engine.debug_shared_hot_lines();
-}
-
-// Even slots on shard 0's segments, odd slots on shard 1's.
-std::uint32_t interleaved(std::uint32_t slot) { return slot / 2 + (slot % 2) * 16; }
-
-TEST(ShardFalseSharing, SerialEngineSharesNoLines) {
-  std::size_t reference = 0;
-  EXPECT_EQ(shared_lines(1, interleaved, &reference), 0u);
-}
-
-TEST(ShardFalseSharing, InterleavedSlotsShareEveryLine) {
-  // Every line holding two or more of the 32 slots is shared (4 or 5
-  // lines, by alignment).
-  std::size_t reference = 0;
-  const std::size_t shared = shared_lines(2, interleaved, &reference);
-  EXPECT_EQ(shared, reference);
-  EXPECT_GE(shared, 4u);
-}
-
-TEST(ShardFalseSharing, ContiguousSlotsShareAtMostTheBoundaryLine) {
-  std::size_t reference = 0;
-  const auto contiguous = [](std::uint32_t slot) { return slot; };
-  const std::size_t shared = shared_lines(2, contiguous, &reference);
-  EXPECT_EQ(shared, reference);
-  EXPECT_LE(shared, 1u);
-}
-
 TEST(ShardSoA, SingleSegmentRingDegeneratesToOneShard) {
-  // 2 segments cannot split across 4 workers without breaking alignment;
-  // the run must still be exact (and exercise the all-in-one-shard path).
+  // A two-segment ring, the smallest saturated world: threads = 4 must
+  // still be exact.
   const SaturatedRing ring(2, 3);
   const auto serial = run_saturated(ring, 1, 60);
   const auto parallel = run_saturated(ring, 4, 60);

@@ -1,8 +1,7 @@
 // Perf instrumentation: the phase timer must record real thread-CPU time
 // (the v2 schema's cpu_seconds was silently 0.000000 for every serial
-// phase — the field existed but only sharded busy-wall time ever fed it),
-// and the parallel accumulator must separate caller CPU from parked-worker
-// CPU so nothing is double counted.
+// phase — the field existed but nothing measured it), sampled on a fixed
+// stride and extrapolated to every call.
 #include <gtest/gtest.h>
 
 #include "util/perf.hpp"
@@ -52,21 +51,6 @@ TEST(Perf, DetachedTimerRecordsNothing) {
   SUCCEED();
 }
 
-TEST(Perf, AddParallelAccumulatesSeparatelyFromCallerCpu) {
-  PerfCollector collector;
-  collector.add(PerfPhase::LaneChange, /*nanos=*/1000, /*cpu_nanos=*/800);
-  collector.add_parallel(PerfPhase::LaneChange, /*nanos=*/3000, /*cpu_nanos=*/2500);
-  collector.add_parallel(PerfPhase::LaneChange, /*nanos=*/1000, /*cpu_nanos=*/500);
-  const PerfPhaseStats& stats = collector.phase(PerfPhase::LaneChange);
-  EXPECT_EQ(stats.calls, 1u);  // add_parallel never counts a call
-  EXPECT_EQ(stats.nanos, 1000u);
-  EXPECT_EQ(stats.cpu_nanos, 800u);
-  EXPECT_EQ(stats.parallel_nanos, 4000u);
-  EXPECT_EQ(stats.parallel_cpu_nanos, 3000u);
-  // cpu_seconds totals caller + parked workers, exactly once each.
-  EXPECT_DOUBLE_EQ(stats.cpu_seconds(), (800.0 + 3000.0) * 1e-9);
-}
-
 TEST(Perf, CpuSecondsExtrapolatesFromSampledCalls) {
   PerfCollector collector;
   // One measured call (50ns cpu) and one the timer skipped: the estimate
@@ -80,33 +64,6 @@ TEST(Perf, CpuSecondsExtrapolatesFromSampledCalls) {
   EXPECT_DOUBLE_EQ(stats.cpu_seconds(), 100.0 * 1e-9);
   // No samples at all -> unknown, reported as 0 rather than a guess.
   EXPECT_DOUBLE_EQ(collector.phase(PerfPhase::Demand).cpu_seconds(), 0.0);
-}
-
-// Sharded phases read the parked workers' CPU only on the sampling
-// stride; cpu_seconds() scales the sampled total to every sharded call.
-TEST(Perf, ParallelCpuExtrapolationIsExactWhenEveryCallIsSampled) {
-  PerfCollector every;
-  PerfCollector strided;
-  std::uint64_t parked_cpu = 0;
-  for (std::uint64_t i = 0; i < 4 * PerfCollector::kCpuSampleStride; ++i) {
-    const std::uint64_t cpu = 700;  // same per-call cost, so the estimate is exact
-    parked_cpu += cpu;
-    every.add_parallel(PerfPhase::Dynamics, 1000, cpu, /*cpu_sampled=*/true);
-    const bool sample = strided.should_sample_cpu(PerfPhase::Dynamics);
-    strided.add(PerfPhase::Dynamics, 1000, 0, sample);  // caller: no CPU of its own
-    strided.add_parallel(PerfPhase::Dynamics, 1000, sample ? cpu : 0, sample);
-  }
-  const PerfPhaseStats& all = every.phase(PerfPhase::Dynamics);
-  EXPECT_EQ(all.parallel_calls, 4 * PerfCollector::kCpuSampleStride);
-  EXPECT_EQ(all.parallel_cpu_sample_calls, all.parallel_calls);
-  EXPECT_EQ(all.parallel_cpu_nanos, parked_cpu);
-  EXPECT_DOUBLE_EQ(all.cpu_seconds(), static_cast<double>(parked_cpu) * 1e-9);
-
-  const PerfPhaseStats& sampled = strided.phase(PerfPhase::Dynamics);
-  EXPECT_EQ(sampled.parallel_calls, 4 * PerfCollector::kCpuSampleStride);
-  EXPECT_EQ(sampled.parallel_cpu_sample_calls, 4u);
-  EXPECT_EQ(sampled.parallel_nanos, all.parallel_nanos);  // wall is read every call
-  EXPECT_DOUBLE_EQ(sampled.cpu_seconds(), all.cpu_seconds());
 }
 
 TEST(Perf, FirstCallOfAPhaseIsAlwaysSampled) {

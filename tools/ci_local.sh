@@ -93,8 +93,7 @@ build_test() {  # $CC $CXX $BUILD_TYPE
   cmake --build "$dir" -j "$NPROC"
   ctest --test-dir "$dir" --output-on-failure -j "$NPROC"
   if [ "$BUILD_TYPE" = Release ]; then
-    "$dir/ivc_fuzz" --cases 60 --seed 2015 --threads 1 --repro-out "$dir/fuzz-repros.txt"
-    "$dir/ivc_fuzz" --cases 60 --seed 2015 --threads 4 --repro-out "$dir/fuzz-repros.txt"
+    "$dir/ivc_fuzz" --cases 60 --seed 2015 --repro-out "$dir/fuzz-repros.txt"
   fi
 }
 
@@ -140,9 +139,8 @@ tsan() {
   cmake --build "$dir" -j "$NPROC"
   export TSAN_OPTIONS=halt_on_error=1
   ctest --test-dir "$dir" -L unit --output-on-failure -j "$NPROC"
-  ctest --test-dir "$dir" -R 'ForkJoinPool|ParallelStepping' --repeat until-fail:10 \
+  ctest --test-dir "$dir" -R 'ForkJoinPool' --repeat until-fail:10 \
     --output-on-failure -j "$NPROC"
-  "$dir/ivc_fuzz" --cases 120 --seed 2014 --threads 4 --max-failures 1
   "$dir/ivc_serve" --scenario manhattan-open-steady --roundtrip
   "$dir/ivc_serve" --scenario roundabout-town-lossless --roundtrip
   "$dir/ivc_serve" --scenario manhattan-open-steady --threads 2 --readers 4 --min-queries 500

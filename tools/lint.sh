@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
-# Static-analysis entry point: runs ivc_lint (determinism & concurrency
-# rules R0-R4) and, when available, clang-tidy with the repo's curated
+# Static-analysis entry point: runs ivc_lint (determinism rules R0-R2
+# and R4) and, when available, clang-tidy with the repo's curated
 # .clang-tidy config — both driven by build/compile_commands.json.
 #
 # Usage: tools/lint.sh [options]
 #   --diff <ref>          report only findings in files changed since <ref>
-#                         (the scan itself stays whole-tree so the call
-#                         graph and container-name pool are complete)
+#                         (the scan itself stays whole-tree so the
+#                         container-name pool is complete)
 #   --report <file>       write the combined findings report to <file>
-#   --mode <m>            ivc_lint front-end: auto|tokens|libclang (default auto)
 #   --no-clang-tidy       skip clang-tidy even if installed
 #   --require-clang-tidy  fail if clang-tidy is not installed (CI sets this)
 #   --build-dir <dir>     build tree holding compile_commands.json
@@ -22,18 +21,16 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${IVC_LINT_BUILD_DIR:-$ROOT/build}"
 REPORT=""
 DIFF_REF=""
-MODE="auto"
 TIDY="auto" # auto | off | require
 
 while [ $# -gt 0 ]; do
   case "$1" in
     --diff) DIFF_REF="$2"; shift 2 ;;
     --report) REPORT="$2"; shift 2 ;;
-    --mode) MODE="$2"; shift 2 ;;
     --build-dir) BUILD_DIR="$2"; shift 2 ;;
     --no-clang-tidy) TIDY="off"; shift ;;
     --require-clang-tidy) TIDY="require"; shift ;;
-    -h|--help) sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) echo "lint.sh: unknown option: $1" >&2; exit 2 ;;
   esac
 done
@@ -64,9 +61,9 @@ STATUS=0
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$TMP_DIR"' EXIT
 
-echo "== ivc_lint (determinism & concurrency rules) =="
+echo "== ivc_lint (determinism rules) =="
 if ! python3 "$ROOT/tools/ivc_lint/ivc_lint.py" \
-      --root "$ROOT" --compile-db "$COMPILE_DB" --mode "$MODE" \
+      --root "$ROOT" --compile-db "$COMPILE_DB" \
       --report "$TMP_DIR/ivc_lint.txt" "${ONLY_PATHS_ARGS[@]}"; then
   STATUS=1
 fi
